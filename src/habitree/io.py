@@ -130,6 +130,10 @@ def dump_market(market: MarketSpec) -> dict:
         "dividends": {tree.ids[int(n)]: float(a.dividends.values[int(n)])
                       for k in range(1, tree.horizon + 1) for n in tree.depth_nodes[k]},
     } for a in market.assets]
+    for field, parts in (("classC_blocks", market.classC), ("idio_factor", market.idio)):
+        if parts is not None:
+            out[field] = {str(part.depth): [[tree.ids[i] for i in b] for b in part.blocks]
+                          for part in parts}
     return out
 
 

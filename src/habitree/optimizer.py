@@ -5,19 +5,28 @@ over feasible consumption plans financed by trading in the market: c_k =
 eps_k + W_k - E[(M_{k+1}/M_k) W_{k+1} | G_k] with each W_k inside the payoff
 span L_k (W_0 = 0, W_{T+1} = 0).
 
-Two independent routes to the optimum:
+``solve_consumption`` takes one route per market class, named in the
+result's ``method``:
 
-* ``solve_consumption`` -- damped Newton on the first-order system over the
-  pruned payoff-space wealth coordinates (stationarity of the utility in
-  those coordinates is exactly the positive-SPD condition
+* complete markets -- ``"closed-form"``, ``iterations=0``.  The perturbed SPD
+  Mtilde is the marginal price of habit-adjusted consumption, so the optimum
+  satisfies e^{-rho k} s_k^{-gamma} = y Mtilde_k for the habit surplus s; the
+  consumption follows forward through the habits and the multiplier y from
+  the budget, and the wealth is the backward self-financing recursion.
+* incomplete markets -- ``"newton"``: damped Newton on the first-order system
+  over the pruned payoff-space wealth coordinates (stationarity of the
+  utility in those coordinates is exactly the positive-SPD condition
   P^L_k[R*_k / R*_{k-1}] = M_k / M_{k-1}), with a phase-1 LP supplying a
   strictly feasible interior start and a line search that keeps every habit
-  surplus positive.
-* ``brute_force_oracle`` -- direct concave maximization over the same wealth
-  coordinates by log-barrier path following with a generic quasi-Newton
-  minimizer; shares only the problem assembly with the primary solver and is
-  used as the verification oracle.
-"""
+  surplus positive; ``"newton+fallback"`` when a stalled Newton run was
+  finished by the oracle's barrier maximization.
+
+Either route checks the first-order residual of its result against ``tol``.
+
+``brute_force_oracle`` is the independent check: direct concave maximization
+over the same wealth coordinates by log-barrier path following with a generic
+quasi-Newton minimizer; it shares only the problem assembly with the Newton
+route."""
 
 from __future__ import annotations
 
@@ -26,7 +35,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConvergenceError, InfeasibleProblemError, SchemaError
-from .market import MarketSpec, _check_habits, project, static_habit_matrix
+from .market import MarketSpec, _check_habits, perturbed_spd, project, static_habit_matrix
 from .tree import AdaptedProcess, cond_expectation_arrays
 
 FOC_TOL = 1e-9
@@ -81,6 +90,11 @@ class SolveResult:
 # -- internal problem assembly -------------------------------------------------
 
 
+def _check_same_tree(market: MarketSpec, agent: AgentSpec) -> None:
+    if agent.endowment.tree is not market.tree and agent.endowment.tree.ids != market.tree.ids:
+        raise SchemaError("endowment", "agent endowment lives on a different tree")
+
+
 class _Problem:
     """Dense linear maps for one (market, agent) instance.
 
@@ -88,9 +102,8 @@ class _Problem:
     """
 
     def __init__(self, market: MarketSpec, agent: AgentSpec, endowment_values: np.ndarray):
+        _check_same_tree(market, agent)
         tree = market.tree
-        if agent.endowment.tree is not tree and agent.endowment.tree.ids != tree.ids:
-            raise SchemaError("endowment", "agent endowment lives on a different tree")
         self.market = market
         self.agent = agent
         self.tree = tree
@@ -102,12 +115,12 @@ class _Problem:
 
         anc = tree.ancestor_matrix()
         L = np.eye(n)
-        for i in range(n):
-            k = int(tree.depth[i])
+        for k in range(1, T + 1):
+            nodes = tree.depth_nodes[k]
             for l in range(k):
                 b = agent.habits[k, l]
                 if b != 0.0:
-                    L[i, anc[i, l]] -= b
+                    L[nodes, anc[nodes, l]] -= b
         self.L = L
 
         M = market.spd.values
@@ -159,31 +172,6 @@ class _Problem:
         d = self.pw * (-self.gamma) * s ** (-self.gamma - 1.0)
         return self.LK.T @ (d[:, None] * self.LK)
 
-    # positive SPD of the first-order conditions (per node)
-    def supporting_spd(self, c: np.ndarray) -> np.ndarray:
-        tree = self.tree
-        T = tree.horizon
-        s = self.L @ c
-        phi = np.exp(-self.agent.rho * tree.depth.astype(float)) * s ** (-self.gamma)
-        cexp = {}
-        for m in range(T + 1):
-            sl = phi[tree.depth_nodes[m]]
-            chain = {m: sl}
-            cur = sl
-            for j in range(m - 1, -1, -1):
-                cur = cond_expectation_arrays(tree, cur, j + 1, j)
-                chain[j] = cur
-            cexp[m] = chain
-        R = np.empty(tree.n_nodes)
-        for k in range(T + 1):
-            acc = phi[tree.depth_nodes[k]].copy()
-            for m in range(k + 1, T + 1):
-                b = self.agent.habits[m, k]
-                if b != 0.0:
-                    acc -= b * cexp[m][k]
-            R[tree.depth_nodes[k]] = acc
-        return R
-
 
 def _phase1_interior(problem: _Problem):
     """LP: maximize the worst surplus over wealth coordinates.  Returns a
@@ -208,64 +196,91 @@ def _phase1_interior(problem: _Problem):
     return res.x[:-1]
 
 
-def _foc_residual_on(problem: _Problem, c: np.ndarray) -> float:
-    """Normalized violation of P^L_k[R*_k/R*_{k-1}] = M_k/M_{k-1}."""
-    market, tree = problem.market, problem.tree
+# -- per-depth maps shared by both routes -------------------------------------------
+
+
+def _habit_surplus(tree, habits: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """s_k = c_k - sum_{l<k} beta^(k)_l c_l (ancestors' consumption)."""
+    anc = tree.ancestor_matrix()
+    s = c.copy()
+    for k in range(1, tree.horizon + 1):
+        nodes = tree.depth_nodes[k]
+        for l in range(k):
+            b = habits[k, l]
+            if b != 0.0:
+                s[nodes] -= b * c[anc[nodes, l]]
+    return s
+
+
+def _consumption_from_surplus(tree, habits: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_habit_surplus`, run forward through the depths."""
+    anc = tree.ancestor_matrix()
+    c = s.copy()
+    for k in range(1, tree.horizon + 1):
+        nodes = tree.depth_nodes[k]
+        for l in range(k):
+            b = habits[k, l]
+            if b != 0.0:
+                c[nodes] += b * c[anc[nodes, l]]
+    return c
+
+
+def _habit_adjoint(tree, habits: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_k - sum_{m>k} beta^(m)_k E[x_m | G_k], walked backward one depth at
+    a time.  Applied to the marginal utilities e^{-rho k} s_k^{-gamma} it
+    gives the supporting SPD R*; applied to the perturbed SPD it gives M."""
+    T = tree.horizon
+    out = x.copy()
+    running = {}        # running[m] = E[x_m | G_k] while k walks backward
+    for k in range(T - 1, -1, -1):
+        running[k + 1] = x[tree.depth_nodes[k + 1]]
+        for m in running:
+            running[m] = cond_expectation_arrays(tree, running[m], k + 1, k)
+        acc = x[tree.depth_nodes[k]]
+        for m in range(k + 1, T + 1):
+            b = habits[m, k]
+            if b != 0.0:
+                acc = acc - b * running[m]
+        out[tree.depth_nodes[k]] = acc
+    return out
+
+
+def _supporting_spd(agent: AgentSpec, tree, s: np.ndarray) -> np.ndarray:
+    """Positive SPD of the first-order conditions at habit surplus s."""
+    phi = np.exp(-agent.rho * tree.depth.astype(float)) * s ** (-agent.gamma)
+    return _habit_adjoint(tree, agent.habits, phi)
+
+
+def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
+    """Normalized violation of P^L_k[R*_k/R*_{k-1}] = M_k/M_{k-1}.  In a
+    complete market L_k holds every depth-k variable and P^L_k is the
+    identity."""
+    tree = market.tree
     if tree.horizon == 0:
         return 0.0
-    R = problem.supporting_spd(c)
     # R* appears as a denominator at depths 0..T-1; nonpositive values mean
     # the point is far from optimal
     if np.any(R[: tree.n_upto(tree.horizon - 1)] <= 0.0):
         return np.inf
     M = market.spd.values
+    complete = market.is_complete()
     worst = 0.0
     for k in range(1, tree.horizon + 1):
         nodes = tree.depth_nodes[k]
         parents = tree.parent[nodes]
         ratio = R[nodes] / R[parents]
         mratio = M[nodes] / M[parents]
-        proj = project(market, ratio, k)
+        proj = ratio if complete else project(market, ratio, k)
         worst = max(worst, float(np.max(np.abs(proj - mratio) / (1.0 + np.abs(mratio)))))
     return worst
 
 
-def _result_from_theta(problem: _Problem, theta: np.ndarray, scale: float,
-                       iterations: int, method: str) -> SolveResult:
-    tree = problem.tree
-    c = problem.consumption(theta) * scale
-    W = problem.wealth(theta) * scale
-    R = problem.supporting_spd(c)
-    util = evaluate_utility(problem.agent, AdaptedProcess(tree, tree.horizon, c))
-    res = _foc_residual_on(problem, c)
-    return SolveResult(
-        c=AdaptedProcess(tree, tree.horizon, c),
-        W=AdaptedProcess(tree, tree.horizon, W),
-        R=AdaptedProcess(tree, tree.horizon, R),
-        utility=util,
-        foc_residual=res,
-        iterations=iterations,
-        method=method,
-    )
+def _foc_residual_on(market: MarketSpec, agent: AgentSpec, c: np.ndarray) -> float:
+    tree = market.tree
+    return _foc_residual(market, _supporting_spd(agent, tree, _habit_surplus(tree, agent.habits, c)))
 
 
-def evaluate_utility(agent: AgentSpec, c: AdaptedProcess) -> float:
-    """Discounted expected power utility of the habit surpluses of c.
-
-    For gamma > 1 a nonpositive surplus is the infinite-marginal-utility pole
-    and the value is -inf; for gamma < 1 a zero surplus contributes zero and
-    negative surpluses are outside the utility domain.
-    """
-    tree = c.tree
-    anc = tree.ancestor_matrix()
-    vals = c.values
-    s = vals.copy()
-    for i in range(tree.n_nodes):
-        k = int(tree.depth[i])
-        for l in range(k):
-            b = agent.habits[k, l]
-            if b != 0.0:
-                s[i] -= b * vals[anc[i, l]]
+def _utility_of_surplus(agent: AgentSpec, tree, s: np.ndarray) -> float:
     if np.any(s < 0.0) and agent.gamma < 1.0:
         raise ValueError("negative habit surplus: consumption outside the utility domain")
     if agent.gamma > 1.0 and np.any(s <= 0.0):
@@ -277,18 +292,95 @@ def evaluate_utility(agent: AgentSpec, c: AdaptedProcess) -> float:
     return float(np.sum(pw * terms) / (1.0 - agent.gamma))
 
 
+def evaluate_utility(agent: AgentSpec, c: AdaptedProcess) -> float:
+    """Discounted expected power utility of the habit surpluses of c.
+
+    For gamma > 1 a nonpositive surplus is the infinite-marginal-utility pole
+    and the value is -inf; for gamma < 1 a zero surplus contributes zero and
+    negative surpluses are outside the utility domain.
+    """
+    return _utility_of_surplus(agent, c.tree, _habit_surplus(c.tree, agent.habits, c.values))
+
+
+def _result(market: MarketSpec, agent: AgentSpec, c: np.ndarray, W: np.ndarray,
+            iterations: int, method: str) -> SolveResult:
+    tree = market.tree
+    s = _habit_surplus(tree, agent.habits, c)
+    R = _supporting_spd(agent, tree, s)
+    return SolveResult(
+        c=AdaptedProcess(tree, tree.horizon, c),
+        W=AdaptedProcess(tree, tree.horizon, W),
+        R=AdaptedProcess(tree, tree.horizon, R),
+        utility=_utility_of_surplus(agent, tree, s),
+        foc_residual=_foc_residual(market, R),
+        iterations=iterations,
+        method=method,
+    )
+
+
+def _result_from_theta(problem: _Problem, theta: np.ndarray, scale: float,
+                       iterations: int, method: str) -> SolveResult:
+    return _result(problem.market, problem.agent, problem.consumption(theta) * scale,
+                   problem.wealth(theta) * scale, iterations, method)
+
+
+def _wealth(tree, M: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """Self-financing wealth of net consumption c - eps: W_T = net_T,
+    W_k = net_k + E[M_{k+1} W_{k+1} | G_k] / M_k, and W_0 = 0 at the root."""
+    W = np.zeros(tree.n_nodes)
+    for k in range(tree.horizon, 0, -1):
+        nodes = tree.depth_nodes[k]
+        W[nodes] = net[nodes]
+        if k < tree.horizon:
+            kids = tree.depth_nodes[k + 1]
+            W[nodes] += cond_expectation_arrays(tree, M[kids] * W[kids], k + 1, k) / M[nodes]
+    return W
+
+
+def _solve_complete(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResult:
+    """Closed-form optimum of a complete market: e^{-rho k} s_k^{-gamma} =
+    y Mtilde_k, consumption forward through the habits, y from the budget."""
+    tree = market.tree
+    M = market.spd.values
+    eps = agent.endowment.values
+    Mt = perturbed_spd(market.spd, agent.habits).values
+    s1 = (np.exp(agent.rho * tree.depth.astype(float)) * Mt) ** (-1.0 / agent.gamma)
+    c1 = _consumption_from_surplus(tree, agent.habits, s1)
+    p = tree.probabilities()
+    c = c1 * (np.sum(p * M * eps) / np.sum(p * M * c1))
+    result = _result(market, agent, c, _wealth(tree, M, c - eps), 0, "closed-form")
+    if result.foc_residual >= tol:
+        raise ConvergenceError(
+            f"closed-form first-order residual {result.foc_residual:.3e}",
+            residual=result.foc_residual)
+    return result
+
+
 def solve_consumption(market: MarketSpec, agent: AgentSpec,
                       tol: float = FOC_TOL, max_iter: int = MAX_NEWTON_ITER) -> SolveResult:
-    """Solve the utility maximization by damped Newton on the first-order
-    system over wealth coordinates.
+    """Solve the utility maximization, one route per market class.
 
-    The endowment is internally normalized to unit present value under the
-    aggregate SPD (results rescale exactly by the power-utility scaling
-    property).  Falls back to the oracle's interior-point maximization if
-    Newton stalls; raises ConvergenceError with the residual if both fail.
+    Complete markets get the closed form through the perturbed SPD
+    (``method="closed-form"``, ``iterations=0``).  Incomplete markets get
+    damped Newton on the first-order system over wealth coordinates
+    (``method="newton"``), with the endowment internally normalized to unit
+    present value under the aggregate SPD (results rescale exactly by the
+    power-utility scaling property); a stalled Newton run falls back to the
+    oracle's interior-point maximization (``method="newton+fallback"``).
+    Raises ConvergenceError with the residual when the first-order residual
+    of the result is not below ``tol``, and SchemaError on an identically
+    zero endowment.
     """
     if np.all(agent.endowment.values == 0.0):
         raise SchemaError("endowment", "endowment must not be identically zero")
+    _check_same_tree(market, agent)
+    if market.is_complete():
+        return _solve_complete(market, agent, tol)
+    return _solve_newton(market, agent, tol, max_iter)
+
+
+def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float, max_iter: int) -> SolveResult:
+    """Damped Newton over the wealth coordinates (incomplete markets)."""
     M = market.spd.values
     p = market.tree.probabilities()
     pv = float(np.sum(p * M * agent.endowment.values))
@@ -300,7 +392,7 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec,
         iterations = it
         s = problem.surplus(theta)
         c = problem.consumption(theta)
-        res = _foc_residual_on(problem, c)
+        res = _foc_residual_on(market, agent, c)
         if res < tol:
             converged = True
             break
@@ -341,8 +433,7 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec,
     theta_fb = _maximize_interior(problem, theta)
     if problem.utility_theta(theta_fb) > problem.utility_theta(theta):
         theta = theta_fb
-    c = problem.consumption(theta)
-    res = _foc_residual_on(problem, c)
+    res = _foc_residual_on(market, agent, problem.consumption(theta))
     if res >= tol:
         raise ConvergenceError(
             f"first-order residual {res:.3e} after {iterations} Newton iterations + fallback",
@@ -427,8 +518,8 @@ def foc_residual(market: MarketSpec, agent: AgentSpec, result: SolveResult) -> f
     """Max over periods and atoms of the normalized first-order violation
     |P^L_k[R*_k/R*_{k-1}] - M_k/M_{k-1}| / (1 + |M_k/M_{k-1}|); zero exactly
     at the optimum.  Scale-free in the endowment."""
-    problem = _Problem(market, agent, agent.endowment.values)
-    return _foc_residual_on(problem, result.c.values)
+    _check_same_tree(market, agent)
+    return _foc_residual_on(market, agent, result.c.values)
 
 
 def budget_gap(market: MarketSpec, agent: AgentSpec, result: SolveResult) -> float:

@@ -9,9 +9,10 @@ per node (an :class:`AdaptedProcess`).  Coarser conditioning structures
 
 Conventions
 -----------
-* Nodes are stored in breadth-first order, so the nodes of depths <= d form a
-  prefix of the index range; an adapted process over periods 0..d is a flat
-  array over that prefix.
+* Nodes are stored in breadth-first order (depth never decreases along the
+  index range and siblings are contiguous; construction rejects any other
+  order), so the nodes of depths <= d form a prefix of the index range; an
+  adapted process over periods 0..d is a flat array over that prefix.
 * Probabilities are stored as parent->child transition probabilities;
   unconditional atom probabilities are recomputed on demand as products along
   the root path (no renormalization drift).
@@ -64,29 +65,46 @@ class EventTree:
         roots = np.flatnonzero(self.parent < 0)
         if len(roots) != 1 or roots[0] != 0:
             raise SchemaError("nodes.parent", "exactly one root, stored first")
+        if not np.all((self.parent[1:] >= 0) & (self.parent[1:] < np.arange(1, n))):
+            raise SchemaError("nodes.parent", "nodes must be breadth-first ordered")
         depth = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            p = self.parent[i]
-            if not 0 <= p < i:
-                raise SchemaError("nodes.parent", "nodes must be breadth-first ordered")
-            depth[i] = depth[p] + 1
+        # parents precede their children, so the longest root path settles
+        # every depth within that many gathers
+        while True:
+            nxt = depth[self.parent] + 1
+            nxt[0] = 0
+            if np.array_equal(nxt, depth):
+                break
+            depth = nxt
         self.depth = depth
+        if np.any(np.diff(depth) < 0):
+            raise SchemaError("nodes.parent", "nodes must be breadth-first ordered")
+        kid_parent = self.parent[1:]
+        # contiguous siblings: one run of equal entries per parent
+        sibling_runs = np.count_nonzero(np.diff(kid_parent)) + (n > 1)
+        if sibling_runs != len(np.unique(kid_parent)):
+            raise SchemaError("nodes.parent", "siblings must be stored contiguously")
         if np.any((self.trans_prob <= 0.0) | (self.trans_prob > 1.0)):
             raise SchemaError("nodes.prob", "transition probabilities must lie in (0, 1]")
-        self.children = [np.flatnonzero(self.parent == i) for i in range(n)]
+        n_kids = np.bincount(kid_parent, minlength=n)
+        by_parent = np.argsort(kid_parent, kind="stable") + 1
+        self.children = np.split(by_parent, np.cumsum(n_kids)[:-1])
         if self.horizon != int(depth.max()):
             raise SchemaError("horizon", f"horizon {self.horizon} != deepest node depth {int(depth.max())}")
-        for i in range(n):
-            kids = self.children[i]
-            if len(kids) == 0:
-                if depth[i] != self.horizon:
-                    raise SchemaError("nodes", f"leaf {self.ids[i]} at depth {depth[i]} < horizon")
-            else:
-                psum = self.trans_prob[kids].sum()
-                if abs(psum - 1.0) > PROB_TOL:
-                    raise SchemaError("nodes.prob", f"children of {self.ids[i]} sum to {psum!r}")
-        self.depth_nodes = [np.flatnonzero(depth == k) for k in range(self.horizon + 1)]
+        short = np.flatnonzero((n_kids == 0) & (depth != self.horizon))
+        if len(short):
+            i = int(short[0])
+            raise SchemaError("nodes", f"leaf {self.ids[i]} at depth {depth[i]} < horizon")
+        psum = np.bincount(kid_parent, weights=self.trans_prob[1:], minlength=n)
+        bad = np.flatnonzero((n_kids > 0) & (np.abs(psum - 1.0) > PROB_TOL))
+        if len(bad):
+            i = int(bad[0])
+            raise SchemaError("nodes.prob", f"children of {self.ids[i]} sum to {psum[i]!r}")
+        self._upto = np.concatenate([[0], np.cumsum(np.bincount(depth))])
+        self.depth_nodes = [np.arange(self._upto[k], self._upto[k + 1])
+                            for k in range(self.horizon + 1)]
         self._index = {nid: i for i, nid in enumerate(self.ids)}
+        self._groups = {}
         for arr in (self.parent, self.trans_prob, self.depth):
             arr.setflags(write=False)
 
@@ -174,7 +192,7 @@ class EventTree:
 
     def n_upto(self, depth: int) -> int:
         """Number of nodes at depths <= depth (the BFS prefix length)."""
-        return sum(len(self.depth_nodes[k]) for k in range(depth + 1))
+        return int(self._upto[depth + 1])
 
     def ancestor(self, node: int, at_depth: int) -> int:
         d = int(self.depth[node])
@@ -188,20 +206,39 @@ class EventTree:
     def ancestor_matrix(self) -> np.ndarray:
         """anc[i, l] = ancestor of node i at depth l (or -1 for l > depth(i))."""
         anc = np.full((self.n_nodes, self.horizon + 1), -1, dtype=np.int64)
-        for i in range(self.n_nodes):
-            d = int(self.depth[i])
-            anc[i, d] = i
-            j = i
-            for l in range(d - 1, -1, -1):
-                j = int(self.parent[j])
-                anc[i, l] = j
+        anc[0, 0] = 0
+        for k in range(1, self.horizon + 1):
+            nodes = self.depth_nodes[k]
+            anc[nodes, :k] = anc[self.parent[nodes], :k]
+            anc[nodes, k] = nodes
         return anc
+
+    def child_groups(self, k: int) -> list:
+        """The depth-(k-1) atoms grouped by child count, as triples (atom
+        positions, child positions, child transition probabilities) with one
+        row per atom and children in index order; positions count within
+        their own depth.  Cached per depth."""
+        groups = self._groups.get(k)
+        if groups is None:
+            # siblings are contiguous: each run of one parent is a group
+            kid_parent = self.parent[self.depth_nodes[k]]
+            starts = np.flatnonzero(np.diff(kid_parent, prepend=-1))
+            counts = np.diff(starts, append=len(kid_parent))
+            atoms = kid_parent[starts] - self._upto[k - 1]
+            groups = []
+            for b in np.unique(counts):
+                sel = counts == b
+                cols = starts[sel][:, None] + np.arange(b)
+                groups.append((atoms[sel], cols, self.trans_prob[cols + self._upto[k]]))
+            self._groups[k] = groups
+        return groups
 
     def probabilities(self) -> np.ndarray:
         """Unconditional atom probabilities, recomputed as root-path products."""
         p = np.ones(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            p[i] = p[self.parent[i]] * self.trans_prob[i]
+        for k in range(1, self.horizon + 1):
+            nodes = self.depth_nodes[k]
+            p[nodes] = p[self.parent[nodes]] * self.trans_prob[nodes]
         return p
 
     def descendants_at(self, node: int, depth: int) -> np.ndarray:
@@ -356,11 +393,11 @@ class Partition:
 
 def _aggregate_one_level(tree: EventTree, values: np.ndarray, k: int) -> np.ndarray:
     """E[X | depth k-1] for X given on depth-k nodes, via transition weights."""
+    # one row sum per atom, in child order: the same operations as summing
+    # each sibling group on its own
     out = np.empty(len(tree.depth_nodes[k - 1]))
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-    for j, u in enumerate(tree.depth_nodes[k - 1]):
-        kids = tree.children[int(u)]
-        out[j] = float(np.sum(tree.trans_prob[kids] * values[[pos[int(c)] for c in kids]]))
+    for rows, cols, w in tree.child_groups(k):
+        out[rows] = np.sum(w * values[cols], axis=1)
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import habitree.instances as gi
-from habitree import EventTree, SchemaError
+from habitree import EventTree, SchemaError, intermediate_partitions, validate_market_class
 from habitree import io as hio
 from habitree.cli import RunConfig, emit_figure_data, main
 
@@ -53,12 +53,27 @@ def test_tree_json_round_trip():
 def test_market_json_round_trip_spd():
     rng = np.random.default_rng(91)
     market = gi.random_classC_market(rng, gi.random_tree(rng, min_depth=2))
-    dumped = hio.dump_market(market)
-    dumped["classC_blocks"] = {
-        str(k): [[market.tree.ids[i] for i in b] for b in market.classC[k - 1].blocks]
-        for k in range(1, market.tree.horizon + 1)}
-    back = hio.load_market(dumped)
+    back = hio.load_market(hio.dump_market(market))
     assert np.max(np.abs(back.spd.values - market.spd.values)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: gi.random_classC_market(rng, gi.random_tree(rng, min_depth=2)),
+    lambda rng: gi.random_idiosyncratic_market(rng),
+], ids=["classC", "factor"])
+def test_market_json_round_trip_keeps_partitions(make):
+    market = make(np.random.default_rng(92))
+    once = hio.load_market(json.loads(json.dumps(hio.dump_market(market))))
+    twice = hio.load_market(hio.dump_market(once))
+    assert hio.dump_market(twice) == hio.dump_market(once)
+    want = validate_market_class(market)
+    parts = intermediate_partitions(market)
+    for back in (once, twice):
+        assert back.tree.ids == market.tree.ids
+        assert (back.classC is None) == (market.classC is None)
+        assert (back.idio is None) == (market.idio is None)
+        assert validate_market_class(back).labels == want.labels
+        assert [p.blocks for p in intermediate_partitions(back)] == [p.blocks for p in parts]
 
 
 def test_agent_json_beta_matrix_forms():

@@ -11,12 +11,13 @@ from habitree import (
     budget_gap,
     evaluate_utility,
     foc_residual,
+    perturbed_spd,
     project,
     solve_consumption,
     static_habit_matrix,
 )
-from habitree.errors import InfeasibleProblemError
-from habitree.optimizer import _phase1_interior
+from habitree.errors import ConvergenceError, InfeasibleProblemError
+from habitree.optimizer import _habit_adjoint, _phase1_interior, _solve_newton
 
 
 def unit_endowment(tree):
@@ -160,6 +161,19 @@ def test_zero_endowment_rejected():
         solve_consumption(market, agent)
 
 
+def test_endowment_on_other_tree_rejected():
+    market = gi.deterministic_market(2, 0.0)          # complete
+    other = EventTree.uniform(2, 2)
+    agent = AgentSpec(2.0, 0.0, static_habit_matrix(0.0, 2),
+                      AdaptedProcess.constant(other, 1.0))
+    with pytest.raises(SchemaError):
+        solve_consumption(market, agent)
+    ok = solve_consumption(market, AgentSpec(2.0, 0.0, static_habit_matrix(0.0, 2),
+                                             AdaptedProcess.constant(market.tree, 1.0)))
+    with pytest.raises(SchemaError):
+        foc_residual(market, agent, ok)
+
+
 def test_gamma_one_rejected():
     tree = EventTree.single_path(1)
     with pytest.raises(SchemaError):
@@ -242,3 +256,89 @@ def test_foc_residual_detects_perturbation():
     fake = SolveResult(AdaptedProcess(tree, tree.horizon, bumped), res.W, res.R,
                        res.utility, res.foc_residual, res.iterations, res.method)
     assert foc_residual(market, agent, fake) > 1e-6
+
+
+# -- the closed-form route (complete markets) ---------------------------------------
+
+
+def _complete_instance(seed, gamma, static):
+    rng = np.random.default_rng(seed)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_complete_market(rng, tree)
+    habits = (static_habit_matrix(0.25, tree.horizon) if static
+              else gi.random_habit_matrix(rng, tree.horizon))
+    endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
+    return market, AgentSpec(gamma, 0.03, habits, endow)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+CLOSED_FORM_CASES = [(seed, gamma, static) for seed, (gamma, static) in
+                     enumerate([(0.5, True), (3.0, True), (0.7, False), (2.5, False)], start=40)]
+
+
+@pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
+def test_closed_form_matches_oracle(seed, gamma, static):
+    market, agent = _complete_instance(seed, gamma, static)
+    res = solve_consumption(market, agent)
+    assert res.method == "closed-form" and res.iterations == 0
+    assert res.foc_residual < 1e-12
+    oracle = brute_force_oracle(market, agent)
+    assert abs(oracle.utility - res.utility) < 1e-8 * (1.0 + abs(res.utility))
+    assert oracle.utility <= res.utility + 1e-12 * (1.0 + abs(res.utility))
+    assert _rel(oracle.c.values, res.c.values) < 1e-9
+
+
+@pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
+def test_closed_form_matches_newton(seed, gamma, static):
+    market, agent = _complete_instance(seed, gamma, static)
+    res = solve_consumption(market, agent)
+    newton = _solve_newton(market, agent, 1e-9, 200)
+    assert newton.method == "newton"
+    for a, b in ((newton.c, res.c), (newton.W, res.W), (newton.R, res.R)):
+        assert _rel(a.values, b.values) < 1e-8
+
+
+@pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
+def test_closed_form_supporting_spd_is_scaled_spd(seed, gamma, static):
+    market, agent = _complete_instance(seed, gamma, static)
+    res = solve_consumption(market, agent)
+    M = market.spd.values
+    y = res.R.values[0] / M[0]
+    assert _rel(res.R.values, y * M) < 1e-12
+    # the identity behind it: the habit adjoint maps Mtilde back to M
+    Mt = perturbed_spd(market.spd, agent.habits).values
+    assert _rel(_habit_adjoint(market.tree, agent.habits, Mt), M) < 1e-12
+
+
+@pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
+def test_closed_form_wealth_finances_consumption(seed, gamma, static):
+    market, agent = _complete_instance(seed, gamma, static)
+    res = solve_consumption(market, agent)
+    tree, M, W = market.tree, market.spd.values, res.W.values
+    assert W[0] == 0.0
+    scale = np.max(np.abs(res.c.values))
+    for u in range(tree.n_nodes):
+        kids = tree.children[u]
+        invest = np.sum(tree.trans_prob[kids] * M[kids] / M[u] * W[kids])
+        gap = res.c.values[u] - (agent.endowment.values[u] + W[u] - invest)
+        assert abs(gap) < 1e-12 * scale
+    assert abs(budget_gap(market, agent, res)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
+def test_closed_form_scales_with_endowment(seed, gamma, static):
+    market, agent = _complete_instance(seed, gamma, static)
+    base = solve_consumption(market, agent)
+    for t in (1e-3, 0.5, 7.0, 1e4):
+        scaled = AgentSpec(agent.gamma, agent.rho, agent.habits, agent.endowment * t)
+        assert _rel(solve_consumption(market, scaled).c.values, t * base.c.values) < 1e-12
+
+
+def test_closed_form_reports_unmet_tolerance():
+    market, agent = _complete_instance(44, 2.0, True)
+    with pytest.raises(ConvergenceError) as err:
+        solve_consumption(market, agent, tol=1e-30)
+    assert 0.0 <= err.value.residual < 1e-12

@@ -208,3 +208,58 @@ def test_adapted_process_shape_checked():
     tree = EventTree.uniform(2, 2)
     with pytest.raises(SchemaError):
         AdaptedProcess(tree, 1, np.zeros(2))
+
+
+def test_tree_rejects_depth_first_order():
+    # parent[i] < i holds, but node 2 (depth 2) precedes node 3 (depth 1):
+    # a depth-1 slice taken as an index prefix would include node 2
+    with pytest.raises(SchemaError):
+        EventTree(("r", "a", "aa", "b", "bb"), [-1, 0, 1, 0, 3], [1.0, 0.5, 1.0, 0.5, 1.0], 2)
+
+
+def test_tree_rejects_interleaved_siblings():
+    # depth never decreases, but the children of "a" (nodes 3 and 5) are split
+    with pytest.raises(SchemaError):
+        EventTree(("r", "a", "b", "aa", "ba", "ab"), [-1, 0, 0, 1, 2, 1],
+                  [1.0, 0.5, 0.5, 0.5, 1.0, 0.5], 2)
+
+
+def _mixed_tree(rng):
+    """Branching 1..12 near the root (wide sibling groups included), nodes
+    handed to from_edges in shuffled order."""
+    nodes, frontier = [("r", None, 1.0)], ["r"]
+    for level in range(3):
+        nxt = []
+        for nid in frontier:
+            b = int(rng.choice([1, 2, 3, 8, 9, 12])) if level < 2 else int(rng.integers(1, 4))
+            w = rng.uniform(0.1, 1.0, b)
+            for j, x in enumerate(w / w.sum()):
+                nodes.append((f"{nid}.{j}", nid, float(x)))
+                nxt.append(f"{nid}.{j}")
+        frontier = nxt
+    return EventTree.from_edges([nodes[i] for i in rng.permutation(len(nodes))], 3)
+
+
+def test_vectorised_tree_queries_match_node_loops():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        tree = _mixed_tree(rng)
+        p = np.ones(tree.n_nodes)
+        anc = np.full((tree.n_nodes, tree.horizon + 1), -1)
+        for i in range(tree.n_nodes):
+            kids = tree.children[i]
+            assert np.array_equal(kids, np.flatnonzero(tree.parent == i))
+            if i:
+                p[i] = p[tree.parent[i]] * tree.trans_prob[i]
+            j = i
+            for l in range(int(tree.depth[i]), -1, -1):
+                anc[i, l] = j
+                j = tree.parent[j]
+        assert np.array_equal(tree.probabilities(), p)          # bit for bit
+        assert np.array_equal(tree.ancestor_matrix(), anc)
+        for k in range(1, tree.horizon + 1):
+            x = rng.standard_normal(len(tree.depth_nodes[k])) * 10.0 ** rng.uniform(-3, 3)
+            lo = tree.n_upto(k - 1)
+            want = [np.sum(tree.trans_prob[tree.children[int(u)]] * x[tree.children[int(u)] - lo])
+                    for u in tree.depth_nodes[k - 1]]
+            assert np.array_equal(cond_expectation_arrays(tree, x, k, k - 1), want)
