@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -200,8 +199,7 @@ def cmd_verify(config: RunConfig) -> None:
     if config.input:
         obj = _read_input(config)
         manifest = {str(k): int(v) for k, v in obj.get("suites", obj).items()}
-    threads = int(os.environ.get("HABITREE_THREADS", "1") or "1")
-    report = run_suites(manifest, config.seed, threads=max(1, threads))
+    report = run_suites(manifest, config.seed)
     _emit(config, hio.to_json_bytes(report))
     if not report["all_passed"]:
         raise ConvergenceError("verification suites reported failures")

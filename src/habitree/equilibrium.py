@@ -136,7 +136,7 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
             foc_margin = min(foc_margin, float(np.min(lhs - rhs)))
             prev = eps.values[tree.parent[tree.depth_nodes[k]]]
             suff = eps.at_depth(k) - beta * prev \
-                - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][_parent_pos(tree, k)]
+                - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][tree.parent_pos(k)]
             suff_margin = min(suff_margin, float(np.min(suff)))
     else:
         foc_margin = -math.inf
@@ -144,13 +144,6 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     holds = surplus_margin > MARGIN_TOL and foc_margin > MARGIN_TOL
     near = holds and min(surplus_margin, foc_margin) <= 100 * MARGIN_TOL
     return ConditionsReport(holds, surplus_margin, foc_margin, suff_margin, near)
-
-
-def _parent_pos(tree: EventTree, k: int) -> np.ndarray:
-    """Positions of the parents of depth-k nodes inside the depth-(k-1) slice."""
-    parents = tree.parent[tree.depth_nodes[k]]
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k - 1])}
-    return np.array([pos[int(p)] for p in parents])
 
 
 def homogeneous_spd(economy: EconomySpec) -> EquilibriumResult:
@@ -204,7 +197,7 @@ def _static_foc_residual(tree: EventTree, Mt: AdaptedProcess, c: AdaptedProcess,
         nodes = tree.depth_nodes[k]
         lhs = s[k] ** (-g)
         ratio = Mt.at_depth(k) / Mt.values[tree.parent[nodes]]
-        rhs = math.exp(rho) * ratio * s[k - 1][_parent_pos(tree, k)] ** (-g)
+        rhs = math.exp(rho) * ratio * s[k - 1][tree.parent_pos(k)] ** (-g)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))))
     return worst
 
@@ -251,27 +244,18 @@ class IIDEconomy:
         endowment (support size ** horizon leaves)."""
         m = len(self.support)
         tree = EventTree.uniform(self.horizon, m, [p for _, p in self.support])
-        slot = np.zeros(tree.n_nodes, dtype=int)
-        for u in range(tree.n_nodes):
-            for j, c in enumerate(tree.children[u]):
-                slot[int(c)] = j
         vals = np.ones(tree.n_nodes)
-        xs = [x for x, _ in self.support]
-        for i in range(1, tree.n_nodes):
-            vals[i] = vals[tree.parent[i]] * xs[slot[i]]
+        xs = np.array([x for x, _ in self.support])
+        for k in range(1, self.horizon + 1):
+            nodes = tree.depth_nodes[k]
+            vals[nodes] = vals[tree.parent[nodes]] * xs[tree.sibling_slot[nodes]]
         eps = AdaptedProcess(tree, self.horizon, vals)
         return EconomySpec(tree, self.beta, (EconomyAgent(self.gamma, self.rho, eps),))
 
     def growth_at(self, tree: EventTree, k: int) -> np.ndarray:
         """X_k per depth-k node (the last growth factor on the node's path)."""
-        nodes = tree.depth_nodes[k]
-        xs = [x for x, _ in self.support]
-        out = np.empty(len(nodes))
-        for j, v in enumerate(nodes):
-            parent = int(tree.parent[int(v)])
-            slot = list(tree.children[parent]).index(int(v))
-            out[j] = xs[slot]
-        return out
+        xs = np.array([x for x, _ in self.support])
+        return xs[tree.sibling_slot[tree.depth_nodes[k]]]
 
 
 def _bond_moments(econ: IIDEconomy):
@@ -579,7 +563,7 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
                 * lam[i] ** (1.0 / a.gamma) for k in range(T + 1)]
         slices = [surp[0]]
         for k in range(1, T + 1):
-            prev = slices[k - 1][_parent_pos(tree, k)]
+            prev = slices[k - 1][tree.parent_pos(k)]
             slices.append(beta * prev + surp[k])
         consumptions.append(AdaptedProcess.from_depth_arrays(tree, slices))
     p = tree.probabilities()

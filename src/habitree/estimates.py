@@ -30,34 +30,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError
-from .market import MarketSpec, intermediate_partitions, perturbed_spd, validate_market_class
+from .market import (
+    MarketClassification,
+    MarketSpec,
+    intermediate_partitions,
+    partitions_of_class,
+    perturbed_spd,
+    validate_market_class,
+)
 from .optimizer import AgentSpec, SolveResult
-from .tree import AdaptedProcess, EventTree, Partition
-
-
-def _esssup_depth(tree: EventTree, arr: np.ndarray, part: Partition) -> np.ndarray:
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[part.depth])}
-    out = np.empty_like(arr)
-    for b in part.blocks:
-        sel = [pos[i] for i in b]
-        out[sel] = np.max(arr[sel])
-    return out
-
-
-def _essinf_depth(tree: EventTree, arr: np.ndarray, part: Partition) -> np.ndarray:
-    return -_esssup_depth(tree, -arr, part)
+from .tree import AdaptedProcess, EventTree, Partition, blockwise_reduce
 
 
 def _discounted_cond_exp(tree: EventTree, M: AdaptedProcess, nxt: np.ndarray, k: int) -> np.ndarray:
     """E[(M_{k+1}/M_k) nxt | G_k] over depth-k nodes."""
-    mk, mk1 = M.at_depth(k), M.at_depth(k + 1)
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k + 1])}
-    out = np.empty(len(tree.depth_nodes[k]))
-    for j, u in enumerate(tree.depth_nodes[k]):
-        kids = tree.children[int(u)]
-        sel = [pos[int(c)] for c in kids]
-        out[j] = np.sum(tree.trans_prob[kids] * mk1[sel] * nxt[sel]) / mk[j]
-    return out
+    nodes = tree.depth_nodes[k + 1]
+    return tree.sibling_sum(k + 1, tree.trans_prob[nodes] * M.at_depth(k + 1) * nxt) / M.at_depth(k)
 
 
 def upper_hedging(market: MarketSpec, X: AdaptedProcess,
@@ -76,10 +64,10 @@ def upper_hedging(market: MarketSpec, X: AdaptedProcess,
     H = tuple(partitions) if partitions is not None else intermediate_partitions(market)
     M = market.spd
     out = [None] * (T + 1)
-    out[T] = _esssup_depth(tree, X.at_depth(T), H[T - 1])
+    out[T] = blockwise_reduce(tree, X.at_depth(T), T, H[T - 1], np.maximum)
     for k in range(T - 1, 0, -1):
         carry = _discounted_cond_exp(tree, M, out[k + 1], k)
-        out[k] = _esssup_depth(tree, X.at_depth(k) + carry, H[k - 1])
+        out[k] = blockwise_reduce(tree, X.at_depth(k) + carry, k, H[k - 1], np.maximum)
     p = tree.probabilities()
     nodes1 = tree.depth_nodes[1]
     out[0] = np.array([float(np.sum(p[nodes1] * M.at_depth(1) * out[1]))])
@@ -111,12 +99,12 @@ class BoundCoefficients:
     vacuous_periods: tuple
 
 
-def _require_hypothesis(market: MarketSpec) -> None:
+def _require_hypothesis(market: MarketSpec) -> MarketClassification:
     cls = validate_market_class(market)
     if "idiosyncratic" in cls.labels:
-        return
+        return cls
     if "classC" in cls.labels and "deterministic-rate" in cls.labels:
-        return
+        return cls
     raise ConditionError(
         "bound recursions need an idiosyncratically incomplete market or an "
         f"intermediate-partition market with deterministic rate; got {sorted(cls.labels)}")
@@ -130,12 +118,12 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
     hedging values enter through eta_k/eta'_k, and the perturbed-SPD ratio
     e^{-rho/gamma} (Mtilde_k/Mtilde_{k-1})^{-1/gamma} drives alpha^k_j.
     """
-    _require_hypothesis(market)
+    cls = _require_hypothesis(market)
     tree = market.tree
     T = tree.horizon
     if T == 0:
         raise ValueError("a zero-horizon tree has no periods to bound")
-    H = intermediate_partitions(market)
+    H = partitions_of_class(market, cls)
     M = market.spd
     Mt = perturbed_spd(M, agent.habits)
     beta = agent.habits
@@ -173,8 +161,8 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
         # negated discounted next-period alpha
         for j in range(k):
             xi[(k, j)] = -(exp_alpha.get(j, np.zeros(nk))) / D
-        etap[k] = _esssup_depth(tree, arg_up, H[k - 1]) / D
-        eta[k] = _essinf_depth(tree, arg_lo, H[k - 1]) / D
+        etap[k] = blockwise_reduce(tree, arg_up, k, H[k - 1], np.maximum) / D
+        eta[k] = blockwise_reduce(tree, arg_lo, k, H[k - 1], np.minimum) / D
         delta[k] = -etap[k] * D
         deltap[k] = -eta[k] * D
         alpha[(k, k - 1)] = (q[k] + beta[k, k - 1] - xi[(k, k - 1)]) * D

@@ -16,6 +16,7 @@ from .market import (
     Asset,
     MarketSpec,
     complete_market_from_spd,
+    spd_edge_ratios,
     static_habit_matrix,
 )
 from .optimizer import AgentSpec
@@ -107,13 +108,9 @@ def random_classC_market(rng: np.random.Generator, tree: EventTree,
     r_slices = [np.zeros(1)]
     det_rates = rng.uniform(0.0, 0.06, size=T + 1)
     for k in range(1, T + 1):
-        nodes = tree.depth_nodes[k]
-        rk = np.empty(len(nodes))
-        pos = {int(n): j for j, n in enumerate(nodes)}
-        for u in tree.depth_nodes[k - 1]:
-            r = det_rates[k] if deterministic_rate else rng.uniform(0.0, 0.06)
-            rk[[pos[int(c)] for c in tree.children[int(u)]]] = r
-        r_slices.append(rk)
+        r = [det_rates[k] if deterministic_rate else rng.uniform(0.0, 0.06)
+             for _ in tree.depth_nodes[k - 1]]
+        r_slices.append(np.array(r)[tree.parent_pos(k)])
     interest = AdaptedProcess.from_depth_arrays(tree, r_slices)
 
     # H-measurable SPD ratios with conditional mean = 1/(1+r)
@@ -121,15 +118,10 @@ def random_classC_market(rng: np.random.Generator, tree: EventTree,
     M = np.ones(tree.n_nodes)
     for k in range(1, T + 1):
         nodes = tree.depth_nodes[k]
-        pos = {int(n): j for j, n in enumerate(nodes)}
         bvals = rng.uniform(0.6, 1.4, size=len(partitions[k - 1].blocks))
-        for u in tree.depth_nodes[k - 1]:
-            kids = tree.children[int(u)]
-            sel = [pos[int(c)] for c in kids]
-            draws = bvals[block_of[k][sel]]
-            r = interest.values[int(kids[0])]
-            mean = float(np.sum(tree.trans_prob[kids] * draws))
-            M[kids] = M[int(u)] * draws / ((1.0 + r) * mean)
+        draws = bvals[block_of[k]]
+        mean = tree.sibling_sum(k, tree.trans_prob[nodes] * draws)[tree.parent_pos(k)]
+        M[nodes] = M[tree.parent[nodes]] * draws / ((1.0 + interest.at_depth(k)) * mean)
 
     # H-measurable payoffs spanning the block claims, priced off M; block
     # values within each atom are drawn well separated so the payoff Gram
@@ -152,31 +144,22 @@ def random_classC_market(rng: np.random.Generator, tree: EventTree,
         payoffs.append(per_depth)
 
     ratios = np.ones(tree.n_nodes)
-    for i in range(1, tree.n_nodes):
-        ratios[i] = M[i] / M[tree.parent[i]]
+    ratios[1:] = M[1:] / M[tree.parent[1:]]
     assets = []
     for j in range(n_assets):
         price = [None] * (T + 1)
         div = [np.zeros(len(tree.depth_nodes[k])) for k in range(T + 1)]
-        scale = [1.0] * (T + 1)
         # scale payoffs upward going backward so dividends stay positive
         payoff = [None] + [payoffs[j][k].copy() for k in range(1, T + 1)]
         price[T] = 0.5 * payoff[T]
         div[T] = 0.5 * payoff[T]
         for k in range(T - 1, -1, -1):
-            nxt = payoff[k + 1]
-            pos = {int(n): jj for jj, n in enumerate(tree.depth_nodes[k + 1])}
-            cur = np.empty(len(tree.depth_nodes[k]))
-            for jj, u in enumerate(tree.depth_nodes[k]):
-                kids = tree.children[int(u)]
-                cur[jj] = float(np.sum(tree.trans_prob[kids] * ratios[kids]
-                                       * nxt[[pos[int(c)] for c in kids]]))
+            nodes = tree.depth_nodes[k + 1]
+            cur = tree.sibling_sum(k + 1, tree.trans_prob[nodes] * ratios[nodes] * payoff[k + 1])
             price[k] = cur
             if k >= 1:
-                lift = float(np.max(cur)) + 1.0
-                payoff[k] = payoff[k] * lift
+                payoff[k] = payoff[k] * (float(np.max(cur)) + 1.0)
                 div[k] = payoff[k] - cur
-                scale[k] = lift
         assets.append(Asset(f"c{j}",
                             AdaptedProcess.from_depth_arrays(tree, price),
                             AdaptedProcess.from_depth_arrays(tree, div)))
@@ -272,19 +255,12 @@ def random_general_market(rng: np.random.Generator, tree: EventTree,
     T = tree.horizon
     for _ in range(max_tries):
         Z = random_positive_spd(rng, tree)
-        ratios = np.ones(tree.n_nodes)
-        for i in range(1, tree.n_nodes):
-            ratios[i] = Z.values[i] / Z.values[tree.parent[i]]
+        ratios = spd_edge_ratios(tree, Z)
         r_slices = [np.zeros(1)]
         for k in range(1, T + 1):
             nodes = tree.depth_nodes[k]
-            rk = np.empty(len(nodes))
-            pos = {int(n): j for j, n in enumerate(nodes)}
-            for u in tree.depth_nodes[k - 1]:
-                kids = tree.children[int(u)]
-                disc = float(np.sum(tree.trans_prob[kids] * ratios[kids]))
-                rk[[pos[int(c)] for c in kids]] = 1.0 / disc - 1.0
-            r_slices.append(rk)
+            disc = tree.sibling_sum(k, tree.trans_prob[nodes] * ratios[nodes])
+            r_slices.append((1.0 / disc - 1.0)[tree.parent_pos(k)])
         interest = AdaptedProcess.from_depth_arrays(tree, r_slices)
         div = [np.zeros(len(tree.depth_nodes[k])) for k in range(T + 1)]
         for k in range(1, T + 1):
@@ -292,14 +268,9 @@ def random_general_market(rng: np.random.Generator, tree: EventTree,
         price = [None] * (T + 1)
         price[T] = rng.uniform(0.5, 1.5, size=len(tree.depth_nodes[T]))
         for k in range(T - 1, -1, -1):
-            nxt = price[k + 1] + div[k + 1]
-            pos = {int(n): jj for jj, n in enumerate(tree.depth_nodes[k + 1])}
-            cur = np.empty(len(tree.depth_nodes[k]))
-            for jj, u in enumerate(tree.depth_nodes[k]):
-                kids = tree.children[int(u)]
-                cur[jj] = float(np.sum(tree.trans_prob[kids] * ratios[kids]
-                                       * nxt[[pos[int(c)] for c in kids]]))
-            price[k] = cur
+            nodes = tree.depth_nodes[k + 1]
+            price[k] = tree.sibling_sum(k + 1, tree.trans_prob[nodes] * ratios[nodes]
+                                        * (price[k + 1] + div[k + 1]))
         asset = Asset("risky",
                       AdaptedProcess.from_depth_arrays(tree, price),
                       AdaptedProcess.from_depth_arrays(tree, div))

@@ -24,6 +24,7 @@ from .tree import (
     AdaptedProcess,
     EventTree,
     Partition,
+    blockwise_reduce,
     cond_expectation_arrays,
 )
 
@@ -102,11 +103,14 @@ class MarketSpec:
             raise SchemaError("interest", "rates must be nonnegative")
         for k in range(1, T + 1):
             rk = self.interest.at_depth(k)
-            pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-            for u in tree.depth_nodes[k - 1]:
-                vals = rk[[pos[int(c)] for c in tree.children[int(u)]]]
-                if np.max(vals) - np.min(vals) > 1e-12:
-                    raise SchemaError("interest", f"rate not predictable below node {tree.ids[int(u)]}")
+            hi = np.full(len(tree.depth_nodes[k - 1]), -np.inf)
+            lo = np.full(len(tree.depth_nodes[k - 1]), np.inf)
+            np.maximum.at(hi, tree.parent_pos(k), rk)
+            np.minimum.at(lo, tree.parent_pos(k), rk)
+            bad = np.flatnonzero(hi - lo > 1e-12)
+            if len(bad):
+                u = tree.depth_nodes[k - 1][bad[0]]
+                raise SchemaError("interest", f"rate not predictable below node {tree.ids[int(u)]}")
         for part_set, name in ((self.classC, "classC_blocks"), (self.idio, "idio_factor")):
             if part_set is not None:
                 if len(part_set) != T:
@@ -124,15 +128,12 @@ class MarketSpec:
     def _build_bases(self, k: int) -> list:
         tree = self.tree
         out = []
-        rk = self.interest.at_depth(k)
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-        payoff_rows = [1.0 + rk]
-        for a in self.assets:
-            payoff_rows.append(a.prices.at_depth(k) + a.dividends.at_depth(k))
+        payoffs = np.column_stack([1.0 + self.interest.at_depth(k)]
+                                  + [a.prices.at_depth(k) + a.dividends.at_depth(k)
+                                     for a in self.assets])
         for u in tree.depth_nodes[k - 1]:
             kids = tree.children[int(u)]
-            sel = [pos[int(c)] for c in kids]
-            full = np.column_stack([row[sel] for row in payoff_rows])
+            full = payoffs[kids - tree.n_upto(k - 1)]
             w = tree.trans_prob[kids]
             kept_cols, kept, onb = _prune_columns(full, w)
             out.append(AtomBasis(int(u), kids, w, full, kept, kept_cols, onb))
@@ -203,10 +204,9 @@ def project(market: MarketSpec, X: Union[AdaptedProcess, np.ndarray], k: int) ->
         target = np.asarray(X, dtype=float)
         if target.shape != (len(tree.depth_nodes[k]),):
             raise ValueError("array input must align with depth-k nodes")
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
     out = np.empty_like(target)
     for basis in market.atom_bases(k):
-        sel = [pos[int(c)] for c in basis.children]
+        sel = basis.children - tree.n_upto(k - 1)
         t = target[sel]
         if basis.rank == 0:
             raise MarketError(
@@ -228,11 +228,9 @@ def compute_aggregate_spd(market: MarketSpec) -> AdaptedProcess:
     slices = [np.array([1.0])]
     for k in range(1, tree.horizon + 1):
         prev = slices[k - 1]
-        posp = {int(n): j for j, n in enumerate(tree.depth_nodes[k - 1])}
         cur = np.empty(len(tree.depth_nodes[k]))
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
         for basis in market.atom_bases(k):
-            m_prev = prev[posp[basis.atom]]
+            m_prev = prev[basis.atom - tree.n_upto(k - 2)]
             prices = np.array([1.0] + [a.prices.value_at(basis.atom) for a in market.assets])
             # moment system over the orthonormal span coordinates; the
             # unsquared least-squares solve avoids Gram-conditioning loss
@@ -248,8 +246,7 @@ def compute_aggregate_spd(market: MarketSpec) -> AdaptedProcess:
                 raise MarketError(
                     f"no aggregate SPD: instrument {bad} mispriced at atom "
                     f"{tree.ids[basis.atom]} depth {k} (gap {gaps[bad]:.3e})")
-            sel = [pos[int(c)] for c in basis.children]
-            cur[sel] = m_kids
+            cur[basis.children - tree.n_upto(k - 1)] = m_kids
         if np.any(cur <= 0.0):
             raise MarketError(
                 f"aggregate SPD vanishes or changes sign at depth {k}; market rejected")
@@ -260,9 +257,7 @@ def compute_aggregate_spd(market: MarketSpec) -> AdaptedProcess:
 def spd_edge_ratios(tree: EventTree, M: AdaptedProcess) -> np.ndarray:
     """Per-node array of M(node)/M(parent) (1.0 at the root)."""
     ratios = np.ones(tree.n_nodes)
-    v = M.values
-    for i in range(1, tree.n_nodes):
-        ratios[i] = v[i] / v[tree.parent[i]]
+    ratios[1:] = M.values[1:] / M.values[tree.parent[1:]]
     return ratios
 
 
@@ -351,14 +346,8 @@ def present_value(tree: EventTree, M: AdaptedProcess, payments: AdaptedProcess, 
     ratios = spd_edge_ratios(tree, M)
     v = np.zeros(len(tree.depth_nodes[T]))
     for n in range(T, k, -1):
-        pay = payments.at_depth(n)
-        pos = {int(c): j for j, c in enumerate(tree.depth_nodes[n])}
-        nxt = np.empty(len(tree.depth_nodes[n - 1]))
-        for j, u in enumerate(tree.depth_nodes[n - 1]):
-            kids = tree.children[int(u)]
-            sel = [pos[int(c)] for c in kids]
-            nxt[j] = np.sum(tree.trans_prob[kids] * ratios[kids] * (pay[sel] + v[sel]))
-        v = nxt
+        nodes = tree.depth_nodes[n]
+        v = tree.sibling_sum(n, tree.trans_prob[nodes] * ratios[nodes] * (payments.at_depth(n) + v))
     return v
 
 
@@ -383,14 +372,11 @@ class MarketClassification:
         return label in self.labels
 
 
-def _condexp_matrix(blocks, w: np.ndarray, index_of) -> np.ndarray:
-    n = len(w)
-    E = np.zeros((n, n))
-    for b in blocks:
-        sel = [index_of[i] for i in b]
-        wb = w[sel]
-        E[np.ix_(sel, sel)] = np.tile(wb / wb.sum(), (len(sel), 1))
-    return E
+def _condexp_matrix(labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Conditional expectation onto the blocks of one atom's children, as a
+    matrix; `labels` gives each child's block, `w` the child weights."""
+    mass = np.bincount(labels, weights=w)[labels]
+    return np.where(labels[:, None] == labels[None, :], w[None, :] / mass[:, None], 0.0)
 
 
 def _derive_intermediate(market: MarketSpec, k: int) -> Optional[Partition]:
@@ -409,14 +395,12 @@ def _derive_intermediate(market: MarketSpec, k: int) -> Optional[Partition]:
                 if abs(proj[i, j]) > 1e-8 or abs(proj[j, i]) > 1e-8:
                     li, lj = labels[i], labels[j]
                     labels = [li if l == lj else l for l in labels]
-        groups = {}
-        for i, l in enumerate(labels):
-            groups.setdefault(l, []).append(i)
-        blocks = [tuple(int(basis.children[i]) for i in g) for g in groups.values()]
-        index_of = {int(basis.children[i]): i for i in range(n)}
-        if np.max(np.abs(proj - _condexp_matrix(blocks, w, index_of))) > 1e-10:
+        if np.max(np.abs(proj - _condexp_matrix(np.array(labels), w))) > 1e-10:
             return None
-        blocks_all.extend(blocks)
+        groups = {}
+        for c, l in zip(basis.children, labels):
+            groups.setdefault(l, []).append(int(c))
+        blocks_all.extend(tuple(g) for g in groups.values())
     return Partition(tree, k, tuple(blocks_all))
 
 
@@ -426,18 +410,10 @@ def _verify_classC(market: MarketSpec, partitions: Sequence[Partition]) -> bool:
         part = partitions[k - 1]
         if not part.is_intermediate():
             return False
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-        bidx = {}
-        for b in part.blocks:
-            for i in b:
-                bidx[i] = b
+        label = part.block_index()
         for basis in market.atom_bases(k):
-            w = basis.cond_probs
-            proj = basis.projector()
-            index_of = {int(c): i for i, c in enumerate(basis.children)}
-            blocks = {tuple(bidx[int(c)]) for c in basis.children}
-            E = _condexp_matrix(list(blocks), w, index_of)
-            if np.max(np.abs(proj - E)) > 1e-10:
+            E = _condexp_matrix(label[basis.children - tree.n_upto(k - 1)], basis.cond_probs)
+            if np.max(np.abs(basis.projector() - E)) > 1e-10:
                 return False
     return True
 
@@ -452,43 +428,35 @@ def _verify_idiosyncratic(market: MarketSpec) -> bool:
     p = tree.probabilities()
     for k in range(1, T + 1):
         part = market.idio[k - 1]
-        bidx = part.block_index()
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
+        label = part.block_index()
         payoffs = [1.0 + market.interest.at_depth(k)]
         for a in market.assets:
             payoffs.append(a.prices.at_depth(k) + a.dividends.at_depth(k))
         for row in payoffs:
-            for b in part.blocks:
-                sel = [pos[i] for i in b]
-                if np.max(row[sel]) - np.min(row[sel]) > 1e-10:
-                    return False
+            spread = (blockwise_reduce(tree, row, k, part, np.maximum)
+                      - blockwise_reduce(tree, row, k, part, np.minimum))
+            if np.max(spread) > 1e-10:
+                return False
         # replicability of factor claims: project block indicators onto L_k
-        for bi, b in enumerate(part.blocks):
-            ind = (bidx == bi).astype(float)
+        for bi in range(len(part.blocks)):
+            ind = (label == bi).astype(float)
             if np.max(np.abs(project(market, ind, k) - ind)) > 1e-10:
                 return False
-    # conditional independence on indicators of F_{k+1}
-    for k in range(0, T):
-        part_next = market.idio[k]
-        nodes_k = tree.depth_nodes[k]
-        for b in part_next.blocks:
-            pb = sum(node_prob for node_prob in p[list(b)])
-            for u in nodes_k:
-                desc = tree.descendants_at(int(u), k + 1)
-                inb = [d for d in desc if int(d) in set(b)]
-                cond_g = sum(p[d] for d in inb) / p[int(u)]
-                if k == 0:
-                    cond_f = pb
-                else:
-                    part_k = market.idio[k - 1]
-                    fblock = next(blk for blk in part_k.blocks if int(u) in blk)
-                    num = 0.0
-                    for fu in fblock:
-                        dd = tree.descendants_at(int(fu), k + 1)
-                        num += sum(p[d] for d in dd if int(d) in set(b))
-                    cond_f = num / sum(p[i] for i in fblock)
-                if abs(cond_g - cond_f) > 1e-12:
-                    return False
+    # conditional independence on indicators of F_{k+1}; at k = 0 both
+    # sigma-algebras are trivial, so the check starts at k = 1
+    for k in range(1, T):
+        pk = p[tree.depth_nodes[k]]
+        fk = market.idio[k - 1].block_index()
+        nxt = market.idio[k].block_index()
+        # mass[u, b]: probability of u's children that lie in F_{k+1} block b
+        onehot = nxt[:, None] == np.arange(len(market.idio[k].blocks))
+        mass = tree.sibling_sum(k + 1, p[tree.depth_nodes[k + 1]][:, None] * onehot)
+        cond_g = mass / pk[:, None]
+        fmass = np.zeros((len(market.idio[k - 1].blocks), mass.shape[1]))
+        np.add.at(fmass, fk, mass)
+        cond_f = (fmass / np.bincount(fk, weights=pk)[:, None])[fk]
+        if np.max(np.abs(cond_g - cond_f)) > 1e-12:
+            return False
     return True
 
 
@@ -528,20 +496,20 @@ def intermediate_partitions(market: MarketSpec) -> tuple:
     """The H_k partitions used by hedging and the bound recursions: explicit
     class-C blocks, else derived ones, else sigma(G_{k-1}, F_k) from an
     idiosyncratic factor structure."""
-    cls = validate_market_class(market)
+    return partitions_of_class(market, validate_market_class(market))
+
+
+def partitions_of_class(market: MarketSpec, cls: MarketClassification) -> tuple:
+    """:func:`intermediate_partitions` from an existing classification."""
     if cls.classC_partitions is not None:
         return cls.classC_partitions
     if market.idio is not None:
         tree = market.tree
         parts = []
         for k in range(1, tree.horizon + 1):
-            fidx = {}
-            for bi, b in enumerate(market.idio[k - 1].blocks):
-                for i in b:
-                    fidx[i] = bi
             blocks = {}
-            for v in tree.depth_nodes[k]:
-                key = (int(tree.parent[int(v)]), fidx[int(v)])
+            keys = zip(tree.parent[tree.depth_nodes[k]], market.idio[k - 1].block_index())
+            for v, key in zip(tree.depth_nodes[k], keys):
                 blocks.setdefault(key, []).append(int(v))
             parts.append(Partition(tree, k, tuple(tuple(b) for b in blocks.values())))
         return tuple(parts)
@@ -559,45 +527,28 @@ def complete_market_from_spd(tree: EventTree, M: AdaptedProcess) -> MarketSpec:
     SPD.  Requires the implied rates to be nonnegative.
     """
     T = tree.horizon
-    max_branch = max(len(tree.children[int(u)]) for u in range(tree.n_nodes)
-                     if len(tree.children[int(u)]) > 0) if T > 0 else 1
-    # child-slot index per node (position among siblings)
-    slot = np.zeros(tree.n_nodes, dtype=int)
-    for u in range(tree.n_nodes):
-        for j, c in enumerate(tree.children[u]):
-            slot[int(c)] = j
+    slot = tree.sibling_slot
     r_slices = [np.zeros(1)]
     for k in range(1, T + 1):
-        mk = M.at_depth(k)
-        mprev = M.at_depth(k - 1)
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-        rk = np.empty(len(tree.depth_nodes[k]))
-        for j, u in enumerate(tree.depth_nodes[k - 1]):
-            kids = tree.children[int(u)]
-            disc = np.sum(tree.trans_prob[kids] * mk[[pos[int(c)] for c in kids]]) / mprev[j]
-            if disc > 1.0 + 1e-12:
-                raise MarketError("SPD implies a negative interest rate; cannot synthesize market")
-            rk[[pos[int(c)] for c in kids]] = 1.0 / disc - 1.0
-        r_slices.append(rk)
+        nodes = tree.depth_nodes[k]
+        disc = tree.sibling_sum(k, tree.trans_prob[nodes] * M.at_depth(k)) / M.at_depth(k - 1)
+        if np.any(disc > 1.0 + 1e-12):
+            raise MarketError("SPD implies a negative interest rate; cannot synthesize market")
+        r_slices.append((1.0 / disc - 1.0)[tree.parent_pos(k)])
     interest = AdaptedProcess.from_depth_arrays(tree, r_slices)
 
     ratios = spd_edge_ratios(tree, M)
     assets = []
-    for j in range(max(1, max_branch - 1)):
+    for j in range(max(1, int(slot.max()))):
         div_slices = [np.zeros(1)]
         for k in range(1, T + 1):
-            nodes = tree.depth_nodes[k]
-            div_slices.append(1.0 + (slot[nodes] == j + 1).astype(float))
+            div_slices.append(1.0 + (slot[tree.depth_nodes[k]] == j + 1).astype(float))
         price_slices = [None] * (T + 1)
         price_slices[T] = np.ones(len(tree.depth_nodes[T]))
         for k in range(T - 1, -1, -1):
+            nodes = tree.depth_nodes[k + 1]
             nxt = price_slices[k + 1] + div_slices[k + 1]
-            pos = {int(n): jj for jj, n in enumerate(tree.depth_nodes[k + 1])}
-            cur = np.empty(len(tree.depth_nodes[k]))
-            for jj, u in enumerate(tree.depth_nodes[k]):
-                kids = tree.children[int(u)]
-                cur[jj] = np.sum(tree.trans_prob[kids] * ratios[kids] * nxt[[pos[int(c)] for c in kids]])
-            price_slices[k] = cur
+            price_slices[k] = tree.sibling_sum(k + 1, tree.trans_prob[nodes] * ratios[nodes] * nxt)
         assets.append(Asset(f"slot{j + 1}",
                             AdaptedProcess.from_depth_arrays(tree, price_slices),
                             AdaptedProcess.from_depth_arrays(tree, div_slices)))

@@ -13,6 +13,11 @@ Conventions
   index range and siblings are contiguous; construction rejects any other
   order), so the nodes of depths <= d form a prefix of the index range; an
   adapted process over periods 0..d is a flat array over that prefix.
+* Each depth is therefore one contiguous index range: a depth-k node's
+  position inside its depth slice is ``node - n_upto(k-1)``, and the
+  children of an atom are one contiguous run.  Per-atom work goes through
+  :meth:`EventTree.parent_pos`, :meth:`EventTree.sibling_sum` and
+  ``EventTree.sibling_slot`` rather than node -> position maps.
 * Probabilities are stored as parent->child transition probabilities;
   unconditional atom probabilities are recomputed on demand as products along
   the root path (no renormalization drift).
@@ -55,6 +60,7 @@ class EventTree:
     depth: np.ndarray = field(init=False)
     children: list = field(init=False)
     depth_nodes: list = field(init=False)
+    sibling_slot: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -103,9 +109,13 @@ class EventTree:
         self._upto = np.concatenate([[0], np.cumsum(np.bincount(depth))])
         self.depth_nodes = [np.arange(self._upto[k], self._upto[k + 1])
                             for k in range(self.horizon + 1)]
+        # position of each node among its siblings (0 at the root)
+        run_start = np.maximum.accumulate(
+            np.where(np.diff(self.parent, prepend=-2) != 0, np.arange(n), 0))
+        self.sibling_slot = np.arange(n) - run_start
         self._index = {nid: i for i, nid in enumerate(self.ids)}
         self._groups = {}
-        for arr in (self.parent, self.trans_prob, self.depth):
+        for arr in (self.parent, self.trans_prob, self.depth, self.sibling_slot):
             arr.setflags(write=False)
 
     # -- construction -------------------------------------------------------
@@ -191,8 +201,27 @@ class EventTree:
             raise SchemaError("node", f"unknown node id {node_id!r}") from None
 
     def n_upto(self, depth: int) -> int:
-        """Number of nodes at depths <= depth (the BFS prefix length)."""
+        """Number of nodes at depths <= depth (the BFS prefix length; 0 for
+        depth -1, so ``n_upto(k - 1)`` is where depth k starts)."""
         return int(self._upto[depth + 1])
+
+    def parent_pos(self, k: int) -> np.ndarray:
+        """Position of each depth-k node's parent inside the depth-(k-1)
+        slice (k >= 1)."""
+        return self.parent[self.depth_nodes[k]] - self._upto[k - 1]
+
+    def sibling_sum(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Per depth-(k-1) atom, the sum of x (given over depth-k nodes,
+        trailing axes carried along) over the atom's children.
+
+        Each sibling group is summed in child order with ``np.sum``, so the
+        bits equal summing each group on its own (``np.bincount`` would match
+        only below 8 terms, ``np.add.reduceat`` only below 3)."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((len(self.depth_nodes[k - 1]),) + x.shape[1:])
+        for rows, cols in self.child_groups(k):
+            out[rows] = np.sum(x[cols], axis=1)
+        return out
 
     def ancestor(self, node: int, at_depth: int) -> int:
         d = int(self.depth[node])
@@ -214,10 +243,10 @@ class EventTree:
         return anc
 
     def child_groups(self, k: int) -> list:
-        """The depth-(k-1) atoms grouped by child count, as triples (atom
-        positions, child positions, child transition probabilities) with one
-        row per atom and children in index order; positions count within
-        their own depth.  Cached per depth."""
+        """The depth-(k-1) atoms grouped by child count, as pairs (atom
+        positions, child positions) with one row per atom and children in
+        index order; positions count within their own depth.  Cached per
+        depth."""
         groups = self._groups.get(k)
         if groups is None:
             # siblings are contiguous: each run of one parent is a group
@@ -229,7 +258,7 @@ class EventTree:
             for b in np.unique(counts):
                 sel = counts == b
                 cols = starts[sel][:, None] + np.arange(b)
-                groups.append((atoms[sel], cols, self.trans_prob[cols + self._upto[k]]))
+                groups.append((atoms[sel], cols))
             self._groups[k] = groups
         return groups
 
@@ -240,13 +269,6 @@ class EventTree:
             nodes = self.depth_nodes[k]
             p[nodes] = p[self.parent[nodes]] * self.trans_prob[nodes]
         return p
-
-    def descendants_at(self, node: int, depth: int) -> np.ndarray:
-        """Indices of depth-`depth` descendants of `node` (itself if equal depth)."""
-        cur = np.array([node], dtype=np.int64)
-        for _ in range(depth - int(self.depth[node])):
-            cur = np.concatenate([self.children[int(i)] for i in cur]) if len(cur) else cur
-        return cur
 
 
 def node_probability(tree: EventTree, node) -> float:
@@ -361,12 +383,12 @@ class Partition:
         return cls(tree, depth, tuple(tuple(tree.index(i) for i in b) for b in id_blocks))
 
     def block_index(self) -> np.ndarray:
-        """Map depth-k node index -> block number."""
-        out = {}
-        for bi, b in enumerate(self.blocks):
-            for i in b:
-                out[i] = bi
-        return np.array([out[int(i)] for i in self.tree.depth_nodes[self.depth]])
+        """Block number of each depth-k node, by position in the depth slice."""
+        out = np.empty(len(self.tree.depth_nodes[self.depth]), dtype=np.int64)
+        sizes = [len(b) for b in self.blocks]
+        out[np.concatenate(self.blocks) - self.tree.n_upto(self.depth - 1)] = \
+            np.repeat(np.arange(len(sizes)), sizes)
+        return out
 
     def is_intermediate(self) -> bool:
         """True when each block sits inside one sibling group, i.e. the
@@ -393,12 +415,7 @@ class Partition:
 
 def _aggregate_one_level(tree: EventTree, values: np.ndarray, k: int) -> np.ndarray:
     """E[X | depth k-1] for X given on depth-k nodes, via transition weights."""
-    # one row sum per atom, in child order: the same operations as summing
-    # each sibling group on its own
-    out = np.empty(len(tree.depth_nodes[k - 1]))
-    for rows, cols, w in tree.child_groups(k):
-        out[rows] = np.sum(w * values[cols], axis=1)
-    return out
+    return tree.sibling_sum(k, tree.trans_prob[tree.depth_nodes[k]] * values)
 
 
 def cond_expectation_arrays(tree: EventTree, values_m: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -431,40 +448,59 @@ def cond_expectation(tree: EventTree, process: AdaptedProcess, k: int) -> Adapte
     return AdaptedProcess.from_depth_arrays(tree, slices)
 
 
-def _blockwise(tree: EventTree, process: AdaptedProcess, partition: Partition, reducer) -> np.ndarray:
-    m = process.depth
-    if partition.depth > m:
+def _block_walk(tree: EventTree, partition: Partition, m: int):
+    """The depth-m nodes below each block of `partition`, as depth-m
+    positions in walk order: block by block, each block's nodes in their
+    listed order, and below each node its descendants in child order.
+    Returns (order, start of each block's run, block of each position of the
+    partition's depth)."""
+    k = partition.depth
+    if k > m:
         raise ValueError("partition depth exceeds process depth")
-    vals = process.at_depth(m)
-    pos = {int(n): j for j, n in enumerate(tree.depth_nodes[m])}
-    out = np.empty(len(tree.depth_nodes[partition.depth]))
-    posk = {int(n): j for j, n in enumerate(tree.depth_nodes[partition.depth])}
-    for b in partition.blocks:
-        desc = np.concatenate([tree.descendants_at(i, m) for i in b])
-        v = reducer(vals[[pos[int(d)] for d in desc]], desc)
-        for i in b:
-            out[posk[i]] = v
-    return out
+    lo = tree.n_upto(k - 1)
+    label = partition.block_index()
+    rank = np.empty(len(label), dtype=np.int64)
+    rank[np.concatenate(partition.blocks) - lo] = np.arange(len(label))
+    keys, a = [], tree.depth_nodes[m]
+    for _ in range(m - k):
+        keys.append(tree.sibling_slot[a])
+        a = tree.parent[a]
+    keys.append(rank[a - lo])
+    order = np.lexsort(keys)
+    starts = np.flatnonzero(np.diff(label[a[order] - lo], prepend=-1))
+    return order, starts, label
+
+
+def blockwise_reduce(tree: EventTree, values: np.ndarray, m: int, partition: Partition,
+                     ufunc) -> np.ndarray:
+    """Reduce depth-m values over the descendants of each partition block
+    with `ufunc` (``np.maximum`` or ``np.minimum``), returned as an array
+    over the partition's depth (constant on blocks)."""
+    order, starts, label = _block_walk(tree, partition, m)
+    return ufunc.reduceat(np.asarray(values, dtype=float)[order], starts)[label]
 
 
 def cond_esssup(tree: EventTree, process: AdaptedProcess, partition: Partition) -> np.ndarray:
     """Blockwise essential supremum of the deepest slice of `process`,
     returned as an array over the partition's depth (constant on blocks)."""
-    return _blockwise(tree, process, partition, lambda v, _: float(np.max(v)))
+    m = process.depth
+    return blockwise_reduce(tree, process.at_depth(m), m, partition, np.maximum)
 
 
 def cond_essinf(tree: EventTree, process: AdaptedProcess, partition: Partition) -> np.ndarray:
     """Blockwise essential infimum; see :func:`cond_esssup`."""
-    return _blockwise(tree, process, partition, lambda v, _: float(np.min(v)))
+    m = process.depth
+    return blockwise_reduce(tree, process.at_depth(m), m, partition, np.minimum)
 
 
 def cond_expectation_on(tree: EventTree, process: AdaptedProcess, partition: Partition) -> np.ndarray:
     """Conditional expectation onto the sigma-algebra generated by a
     partition: blockwise probability-weighted average of the deepest slice."""
-    p = tree.probabilities()
-
-    def mean(vals, desc):
-        w = p[desc]
-        return float(np.sum(w * vals) / np.sum(w))
-
-    return _blockwise(tree, process, partition, mean)
+    m = process.depth
+    order, starts, label = _block_walk(tree, partition, m)
+    w = tree.probabilities()[tree.depth_nodes[m]][order]
+    wv = w * process.at_depth(m)[order]
+    ends = np.append(starts[1:], len(order))
+    # one np.sum per block, in walk order, as summing each block on its own
+    means = np.array([np.sum(wv[i:j]) / np.sum(w[i:j]) for i, j in zip(starts, ends)])
+    return means[label]

@@ -2,13 +2,12 @@
 
 Each suite draws seeded random instances and checks one family of
 invariants; results are aggregated order-independently (sorted by suite
-name).  HABITREE_THREADS caps optional suite-level parallelism.
+name).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,20 +131,16 @@ def suite_spd_pricing(seed: int, count: int) -> SuiteResult:
         M = market.spd
         gap = 0.0
         for k in range(1, tree.horizon + 1):
-            nodes = tree.depth_nodes[k]
+            tp = tree.trans_prob[tree.depth_nodes[k]]
             mk = M.at_depth(k)
-            pos = {int(n): j for j, n in enumerate(nodes)}
             payoffs = [(1.0 + market.interest.at_depth(k), np.ones(len(tree.depth_nodes[k - 1])))]
             for a in market.assets:
                 payoffs.append((a.prices.at_depth(k) + a.dividends.at_depth(k),
                                 a.prices.at_depth(k - 1)))
-            for j, u in enumerate(tree.depth_nodes[k - 1]):
-                kids = tree.children[int(u)]
-                sel = [pos[int(c)] for c in kids]
-                for pay, price in payoffs:
-                    lhs = price[j] * M.at_depth(k - 1)[j]
-                    rhs = float(np.sum(tree.trans_prob[kids] * pay[sel] * mk[sel]))
-                    gap = max(gap, abs(lhs - rhs) / max(1.0, abs(lhs)))
+            for pay, price in payoffs:
+                lhs = price * M.at_depth(k - 1)
+                rhs = tree.sibling_sum(k, tp * pay * mk)
+                gap = max(gap, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
             gap = max(gap, float(np.max(np.abs(project(market, mk, k) - mk))))
         worst = max(worst, gap)
         passed, failed = (passed + 1, failed) if gap < 1e-10 else (passed, failed + 1)
@@ -291,18 +286,13 @@ SUITES = {
 }
 
 
-def run_suites(manifest: dict, seed: int, threads: int = 1) -> dict:
+def run_suites(manifest: dict, seed: int) -> dict:
     """Run the named suites; returns a deterministic report dict."""
     names = sorted(manifest)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: SUITES[n](seed, int(manifest[n])), names))
-    else:
-        results = [SUITES[n](seed, int(manifest[n])) for n in names]
-    results.sort(key=lambda r: r.name)
+    results = [SUITES[n](seed, int(manifest[n])) for n in names]
     return {
         "seed": seed,
         "suites": [r.to_dict() for r in results],

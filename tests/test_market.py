@@ -9,6 +9,7 @@ from habitree import (
     EventTree,
     MarketError,
     MarketSpec,
+    Partition,
     SpdPair,
     complete_market_from_spd,
     payoff_space_basis,
@@ -259,6 +260,47 @@ def test_classify_idiosyncratic_product():
     labels = validate_market_class(market).labels
     assert "idiosyncratic" in labels
     assert "complete" not in labels
+
+
+def _factor_market_variant(case):
+    """The factor market of test_classify_idiosyncratic_product with one
+    defect that breaks the idiosyncratic definition."""
+    market = gi.random_idiosyncratic_market(np.random.default_rng(12))
+    tree, T = market.tree, market.tree.horizon
+    prob, assets, idio = tree.trans_prob.copy(), market.assets, market.idio
+    if case == "payoff-not-factor-adapted":
+        # one node's dividend differs from the rest of its F_1 block
+        div = assets[0].dividends.values.copy()
+        div[tree.depth_nodes[1][0]] += 0.01
+        assets = (Asset(assets[0].name, assets[0].prices,
+                        AdaptedProcess(tree, T, div)),) + assets[1:]
+    elif case == "factor-claim-not-replicable":
+        # F = G: every node is a factor claim, but the noise is not traded
+        idio = tuple(Partition.singletons(tree, k) for k in range(1, T + 1))
+    else:
+        # below one depth-1 node the factor moves depend on the noise:
+        # shift mass between the first factor child's block and the rest
+        kids = tree.children[int(tree.depth_nodes[1][0])]
+        block = market.idio[1].block_index()[kids - tree.n_upto(1)]
+        first, rest = kids[block == block[0]], kids[block != block[0]]
+        prob[first] *= 0.9
+        prob[rest] *= (1.0 - prob[first].sum()) / prob[rest].sum()
+    tree2 = EventTree(tree.ids, tree.parent, prob, T)
+
+    def move(proc):
+        return AdaptedProcess(tree2, T, proc.values)
+
+    return MarketSpec(tree2, tuple(Asset(a.name, move(a.prices), move(a.dividends))
+                                   for a in assets),
+                      move(market.interest),
+                      idio=tuple(Partition(tree2, p.depth, p.blocks) for p in idio))
+
+
+@pytest.mark.parametrize("case", ["payoff-not-factor-adapted", "factor-claim-not-replicable",
+                                  "noise-depends-on-factor"])
+def test_classify_idiosyncratic_rejections(case):
+    labels = validate_market_class(_factor_market_variant(case)).labels
+    assert "idiosyncratic" not in labels
 
 
 def test_classify_general_market():

@@ -13,6 +13,8 @@ from habitree import (
     cond_expectation_on,
     node_probability,
 )
+from habitree.instances import random_positive_spd
+from habitree.market import complete_market_from_spd, present_value, spd_edge_ratios
 from habitree.tree import cond_expectation_arrays
 
 TOL = 1e-12
@@ -240,8 +242,61 @@ def _mixed_tree(rng):
     return EventTree.from_edges([nodes[i] for i in rng.permutation(len(nodes))], 3)
 
 
+def _present_value_loops(tree, M, payments, k):
+    """present_value as one np.sum per atom (the reference the per-depth
+    version must match bit for bit)."""
+    ratios = spd_edge_ratios(tree, M)
+    v = np.zeros(len(tree.depth_nodes[payments.depth]))
+    for n in range(payments.depth, k, -1):
+        pay, lo = payments.at_depth(n), tree.n_upto(n - 1)
+        v = np.array([np.sum(tree.trans_prob[kids] * ratios[kids] * (pay[kids - lo] + v[kids - lo]))
+                      for kids in (tree.children[int(u)] for u in tree.depth_nodes[n - 1])])
+    return v
+
+
+def _complete_market_loops(tree, M):
+    """Interest and (price, dividend) values of complete_market_from_spd,
+    built atom by atom (the reference for the per-depth version)."""
+    T = tree.horizon
+    slot = np.zeros(tree.n_nodes, dtype=int)
+    for u in range(tree.n_nodes):
+        for j, c in enumerate(tree.children[u]):
+            slot[int(c)] = j
+    rate = np.zeros(tree.n_nodes)
+    for k in range(1, T + 1):
+        mk, mprev, lo = M.at_depth(k), M.at_depth(k - 1), tree.n_upto(k - 1)
+        for j, u in enumerate(tree.depth_nodes[k - 1]):
+            kids = tree.children[int(u)]
+            rate[kids] = 1.0 / (np.sum(tree.trans_prob[kids] * mk[kids - lo]) / mprev[j]) - 1.0
+    ratios = spd_edge_ratios(tree, M)
+    assets = []
+    for j in range(max(1, int(slot.max()))):
+        div = np.where(tree.depth > 0, 1.0 + (slot == j + 1), 0.0)
+        price = np.ones(tree.n_nodes)
+        for u in range(tree.n_upto(T - 1) - 1, -1, -1):
+            kids = tree.children[u]
+            price[u] = np.sum(tree.trans_prob[kids] * ratios[kids] * (price[kids] + div[kids]))
+        assets.append((price, div))
+    return rate, assets
+
+
+def _blockwise_loops(tree, process, partition, reducer):
+    """Per-block reduction over each block's descendants, walked node by
+    node (the reference for the per-depth block walk)."""
+    m, k = process.depth, partition.depth
+    vals, out = process.at_depth(m), np.empty(len(tree.depth_nodes[k]))
+    for b in partition.blocks:
+        desc = list(b)
+        for _ in range(m - k):
+            desc = [int(c) for d in desc for c in tree.children[d]]
+        out[np.asarray(b) - tree.n_upto(k - 1)] = reducer(vals[np.asarray(desc) - tree.n_upto(m - 1)],
+                                                          desc)
+    return out
+
+
 def test_vectorised_tree_queries_match_node_loops():
     rng = np.random.default_rng(17)
+    spd_rng = np.random.default_rng(18)
     for _ in range(20):
         tree = _mixed_tree(rng)
         p = np.ones(tree.n_nodes)
@@ -263,3 +318,37 @@ def test_vectorised_tree_queries_match_node_loops():
             want = [np.sum(tree.trans_prob[tree.children[int(u)]] * x[tree.children[int(u)] - lo])
                     for u in tree.depth_nodes[k - 1]]
             assert np.array_equal(cond_expectation_arrays(tree, x, k, k - 1), want)
+            kids = [tree.children[int(u)] - lo for u in tree.depth_nodes[k - 1]]
+            assert np.array_equal(tree.sibling_sum(k, x), [np.sum(x[c]) for c in kids])
+            xx = np.column_stack([x, -2.0 * x, x ** 2])
+            assert np.array_equal(tree.sibling_sum(k, xx), [np.sum(xx[c], axis=0) for c in kids])
+            parents = list(tree.depth_nodes[k - 1])
+            assert np.array_equal(tree.parent_pos(k),
+                                  [parents.index(tree.parent[v]) for v in tree.depth_nodes[k]])
+        slot = np.zeros(tree.n_nodes, dtype=int)
+        for u in range(tree.n_nodes):
+            slot[tree.children[u]] = np.arange(len(tree.children[u]))
+        assert np.array_equal(tree.sibling_slot, slot)
+        for k in range(tree.horizon + 1):
+            nodes = [int(i) for i in tree.depth_nodes[k]]
+            rng.shuffle(nodes)
+            cut = int(rng.integers(1, len(nodes) + 1))
+            part = Partition(tree, k, tuple(b for b in (nodes[:cut], nodes[cut:]) if b))
+            X = AdaptedProcess(tree, tree.horizon, rng.standard_normal(tree.n_nodes))
+            assert np.array_equal(cond_esssup(tree, X, part),
+                                  _blockwise_loops(tree, X, part, lambda v, _: np.max(v)))
+            assert np.array_equal(cond_essinf(tree, X, part),
+                                  _blockwise_loops(tree, X, part, lambda v, _: np.min(v)))
+            mean = _blockwise_loops(tree, X, part, lambda v, d: np.sum(p[d] * v) / np.sum(p[d]))
+            assert np.array_equal(cond_expectation_on(tree, X, part), mean)
+        M = random_positive_spd(spd_rng, tree)
+        pay = AdaptedProcess(tree, tree.horizon, spd_rng.uniform(0.0, 2.0, tree.n_nodes))
+        for k in range(tree.horizon + 1):
+            assert np.array_equal(present_value(tree, M, pay, k), _present_value_loops(tree, M, pay, k))
+        market = complete_market_from_spd(tree, M)
+        rate, assets = _complete_market_loops(tree, M)
+        assert np.array_equal(market.interest.values, rate)
+        assert len(market.assets) == len(assets)
+        for a, (price, div) in zip(market.assets, assets):
+            assert np.array_equal(a.prices.values, price)
+            assert np.array_equal(a.dividends.values, div)

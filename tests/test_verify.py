@@ -16,13 +16,6 @@ def test_small_run_all_pass():
     assert [s["name"] for s in rep["suites"]] == sorted(s["name"] for s in rep["suites"])
 
 
-def test_threaded_run_matches_sequential():
-    manifest = {"tree-tower": 4, "perturbed-spd": 4, "scaling": 2}
-    seq = run_suites(manifest, seed=5, threads=1)
-    par = run_suites(manifest, seed=5, threads=3)
-    assert seq == par
-
-
 def test_unknown_suite_rejected():
     import pytest
     with pytest.raises(ValueError):
