@@ -57,7 +57,6 @@ class RunConfig:
     beta_grid: Optional[str] = None
     eps0_grid: Optional[str] = None
     maturity: Optional[int] = None
-    figure: Optional[int] = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -205,13 +204,13 @@ def cmd_verify(config: RunConfig) -> None:
         raise ConvergenceError("verification suites reported failures")
 
 
-def emit_figure_data(econ: IIDEconomy, figure: int) -> list:
+def emit_figure_data(econ: IIDEconomy, number: int) -> list:
     """101-point beta grid on [0, 1]: figure 1 is the one-period bond price
     (the interest-rate curve), figure 2 the long-run Lucas tree price."""
     grid = [i / 100.0 for i in range(101)]
-    if figure == 1:
+    if number == 1:
         return bond_curve(econ, 1, grid)
-    if figure == 2:
+    if number == 2:
         return lucas_curve(econ, grid)
     raise ValueError("figure must be 1 or 2")
 

@@ -602,16 +602,17 @@ def _result_from_weights(economy: EconomySpec, lam: np.ndarray, system: DemandSy
         walras_history=walras, iterations=iterations, method=method)
 
 
-def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL,
-                              max_iter: int = MAX_TATONNEMENT) -> EquilibriumResult:
+def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> EquilibriumResult:
     """Find positive agent weights on the unit simplex with vanishing excess
     demand, then assemble the equilibrium.
 
-    Damped multiplicative tatonnement lam_i <- lam_i exp(kappa h_i/(1+|h_i|)),
+    Damped multiplicative tatonnement lam_i <- lam_i exp(-kappa h_i/(1+|h_i|)),
     renormalized to the simplex each step, kappa halved on oscillation; after
-    `max_iter` steps a derivative-free root finder on the simplex interior
-    takes over.  Scale is unidentified (h is homogeneous of degree zero), so
-    the simplex normalization is exact, not a restriction.
+    MAX_TATONNEMENT steps a root finder on the simplex interior takes over
+    (``method="tatonnement+root"``): bracketing on the first weight for two
+    agents, MINPACK ``hybr`` on log-weight ratios for three or more.  Scale
+    is unidentified (h is homogeneous of degree zero), so the simplex
+    normalization is exact, not a restriction.
     """
     cond = heterogeneous_conditions(economy)
     if not cond.holds:
@@ -623,7 +624,7 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL,
     kappa = 1.0
     walras = []
     prev_h = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_TATONNEMENT + 1):
         system = excess_demand(economy, lam)
         h = system.h
         walras.append(float(np.dot(lam, h)))
@@ -645,7 +646,7 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL,
             f"excess demand {np.max(np.abs(system.h)):.3e} after tatonnement + root finding",
             residual=float(np.max(np.abs(system.h))))
     return _result_from_weights(economy, lam, system, tuple(walras),
-                                max_iter, "tatonnement+root")
+                                MAX_TATONNEMENT, "tatonnement+root")
 
 
 def _weights_by_root_finding(economy: EconomySpec, lam0: np.ndarray, tol: float) -> np.ndarray:

@@ -123,7 +123,7 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
     T = tree.horizon
     if T == 0:
         raise ValueError("a zero-horizon tree has no periods to bound")
-    H = partitions_of_class(market, cls)
+    H = partitions_of_class(cls)
     M = market.spd
     Mt = perturbed_spd(M, agent.habits)
     beta = agent.habits

@@ -168,8 +168,6 @@ def _prune_columns(full: np.ndarray, w: np.ndarray):
     for j in range(full.shape[1]):
         v = full[:, j].astype(float)
         norm0 = np.sqrt(np.sum(w * v * v))
-        if norm0 == 0.0:
-            continue
         r = v.copy()
         for _ in range(2):
             for q in ortho:
@@ -207,11 +205,7 @@ def project(market: MarketSpec, X: Union[AdaptedProcess, np.ndarray], k: int) ->
     out = np.empty_like(target)
     for basis in market.atom_bases(k):
         sel = basis.children - tree.n_upto(k - 1)
-        t = target[sel]
-        if basis.rank == 0:
-            raise MarketError(
-                f"empty payoff span at atom {tree.ids[basis.atom]} depth {k}")
-        out[sel] = basis.onb @ (basis.onb.T @ (basis.cond_probs * t))
+        out[sel] = basis.onb @ (basis.onb.T @ (basis.cond_probs * target[sel]))
     return out
 
 
@@ -351,12 +345,6 @@ def present_value(tree: EventTree, M: AdaptedProcess, payments: AdaptedProcess, 
     return v
 
 
-def expectation(tree: EventTree, values: np.ndarray, k: int) -> float:
-    """Unconditional expectation of a depth-k variable."""
-    p = tree.probabilities()
-    return float(np.sum(p[tree.depth_nodes[k]] * values))
-
-
 # -- market classification -----------------------------------------------------
 
 
@@ -367,9 +355,6 @@ class MarketClassification:
 
     labels: frozenset
     classC_partitions: Optional[tuple] = None
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
 
 
 def _condexp_matrix(labels: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -494,26 +479,16 @@ def validate_market_class(market: MarketSpec) -> MarketClassification:
 
 def intermediate_partitions(market: MarketSpec) -> tuple:
     """The H_k partitions used by hedging and the bound recursions: explicit
-    class-C blocks, else derived ones, else sigma(G_{k-1}, F_k) from an
-    idiosyncratic factor structure."""
-    return partitions_of_class(market, validate_market_class(market))
+    class-C blocks, else derived ones.  On a verified idiosyncratic market
+    the derived blocks are sigma(G_{k-1}, F_k)."""
+    return partitions_of_class(validate_market_class(market))
 
 
-def partitions_of_class(market: MarketSpec, cls: MarketClassification) -> tuple:
+def partitions_of_class(cls: MarketClassification) -> tuple:
     """:func:`intermediate_partitions` from an existing classification."""
-    if cls.classC_partitions is not None:
-        return cls.classC_partitions
-    if market.idio is not None:
-        tree = market.tree
-        parts = []
-        for k in range(1, tree.horizon + 1):
-            blocks = {}
-            keys = zip(tree.parent[tree.depth_nodes[k]], market.idio[k - 1].block_index())
-            for v, key in zip(tree.depth_nodes[k], keys):
-                blocks.setdefault(key, []).append(int(v))
-            parts.append(Partition(tree, k, tuple(tuple(b) for b in blocks.values())))
-        return tuple(parts)
-    raise MarketError("market has no class-C structure (explicit, derived or factor-based)")
+    if cls.classC_partitions is None:
+        raise MarketError("market has no class-C structure (explicit or derived)")
+    return cls.classC_partitions
 
 
 # -- complete-market synthesis ---------------------------------------------------

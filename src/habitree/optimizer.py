@@ -18,10 +18,12 @@ result's ``method``:
   utility in those coordinates is exactly the positive-SPD condition
   P^L_k[R*_k / R*_{k-1}] = M_k / M_{k-1}), with a phase-1 LP supplying a
   strictly feasible interior start and a line search that keeps every habit
-  surplus positive; ``"newton+fallback"`` when a stalled Newton run was
-  finished by the oracle's barrier maximization.
+  surplus positive.
 
-Either route checks the first-order residual of its result against ``tol``.
+Either route checks the first-order residual of its result against ``tol``
+and raises ConvergenceError when it is not met; Newton also stops, with the
+same error, on a singular Newton system, a failed line search or
+MAX_NEWTON_ITER iterations.
 
 ``brute_force_oracle`` is the independent check: direct concave maximization
 over the same wealth coordinates by log-barrier path following with a generic
@@ -356,8 +358,7 @@ def _solve_complete(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveRe
     return result
 
 
-def solve_consumption(market: MarketSpec, agent: AgentSpec,
-                      tol: float = FOC_TOL, max_iter: int = MAX_NEWTON_ITER) -> SolveResult:
+def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL) -> SolveResult:
     """Solve the utility maximization, one route per market class.
 
     Complete markets get the closed form through the perturbed SPD
@@ -365,21 +366,21 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec,
     damped Newton on the first-order system over wealth coordinates
     (``method="newton"``), with the endowment internally normalized to unit
     present value under the aggregate SPD (results rescale exactly by the
-    power-utility scaling property); a stalled Newton run falls back to the
-    oracle's interior-point maximization (``method="newton+fallback"``).
-    Raises ConvergenceError with the residual when the first-order residual
-    of the result is not below ``tol``, and SchemaError on an identically
-    zero endowment.
+    power-utility scaling property).  Raises ConvergenceError with the
+    residual when the first-order residual is not brought below ``tol``
+    (Newton names its stop: a singular Newton system, a failed line search
+    or MAX_NEWTON_ITER iterations), and SchemaError on an identically zero
+    endowment.
     """
     if np.all(agent.endowment.values == 0.0):
         raise SchemaError("endowment", "endowment must not be identically zero")
     _check_same_tree(market, agent)
     if market.is_complete():
         return _solve_complete(market, agent, tol)
-    return _solve_newton(market, agent, tol, max_iter)
+    return _solve_newton(market, agent, tol)
 
 
-def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float, max_iter: int) -> SolveResult:
+def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResult:
     """Damped Newton over the wealth coordinates (incomplete markets)."""
     M = market.spd.values
     p = market.tree.probabilities()
@@ -387,20 +388,17 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float, max_iter: in
     problem = _Problem(market, agent, agent.endowment.values / pv)
 
     theta = _phase1_interior(problem)
-    iterations, converged = 0, False
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for it in range(1, MAX_NEWTON_ITER + 1):
         s = problem.surplus(theta)
-        c = problem.consumption(theta)
-        res = _foc_residual_on(market, agent, c)
+        res = _foc_residual_on(market, agent, problem.consumption(theta))
         if res < tol:
-            converged = True
-            break
+            return _result_from_theta(problem, theta, pv, it, "newton")
         g = problem.grad(s)
         H = problem.hess(s)
         try:
             d = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
+            reason = "singular Newton system"
             break
         ds = problem.LK @ d
         neg = ds < 0.0
@@ -415,30 +413,20 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float, max_iter: in
             continue
         slope = float(g @ d)
         alpha = alpha_max
-        accepted = False
         while alpha > 1e-14:
             u1 = problem.utility_theta(theta + alpha * d)
             if u1 > u0 + 1e-4 * alpha * slope:
                 theta = theta + alpha * d
-                accepted = True
                 break
             alpha *= BACKTRACK
-        if not accepted:
+        else:
+            reason = "line search failed"
             break
-    if converged:
-        return _result_from_theta(problem, theta, pv, iterations, "newton")
-
-    # Newton stalled: polish with the oracle-style barrier maximization,
-    # keeping whichever point is better
-    theta_fb = _maximize_interior(problem, theta)
-    if problem.utility_theta(theta_fb) > problem.utility_theta(theta):
-        theta = theta_fb
-    res = _foc_residual_on(market, agent, problem.consumption(theta))
-    if res >= tol:
-        raise ConvergenceError(
-            f"first-order residual {res:.3e} after {iterations} Newton iterations + fallback",
-            residual=res)
-    return _result_from_theta(problem, theta, pv, iterations, "newton+fallback")
+    else:
+        reason = "iteration limit reached"
+        res = _foc_residual_on(market, agent, problem.consumption(theta))
+    raise ConvergenceError(f"Newton stopped after {it} iterations ({reason}): "
+                           f"first-order residual {res:.3e}", residual=res)
 
 
 # -- the independent oracle ------------------------------------------------------

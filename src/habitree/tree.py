@@ -223,15 +223,6 @@ class EventTree:
             out[rows] = np.sum(x[cols], axis=1)
         return out
 
-    def ancestor(self, node: int, at_depth: int) -> int:
-        d = int(self.depth[node])
-        if at_depth > d:
-            raise ValueError("ancestor depth beyond node depth")
-        while d > at_depth:
-            node = int(self.parent[node])
-            d -= 1
-        return node
-
     def ancestor_matrix(self) -> np.ndarray:
         """anc[i, l] = ancestor of node i at depth l (or -1 for l > depth(i))."""
         anc = np.full((self.n_nodes, self.horizon + 1), -1, dtype=np.int64)
@@ -325,9 +316,6 @@ class AdaptedProcess:
         return AdaptedProcess(self.tree, self.depth, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "AdaptedProcess":
-        return AdaptedProcess(self.tree, self.depth, self.values / float(scalar))
 
 
 @dataclass

@@ -388,3 +388,20 @@ def test_three_agent_equilibrium():
     assert res.residuals["clearing"] < 1e-8
     total = np.sum([c.values for c in res.consumptions], axis=0)
     assert np.max(np.abs(total - base.aggregate.values)) < 1e-8
+
+
+def test_three_agent_root_finding_fallback():
+    # a natural economy on which tatonnement runs out of steps: the weights
+    # are then found by the N >= 3 root finder (hybr on log-weight ratios)
+    base = gi.example_iid_economy(beta=0.16098999836020625, horizon=1).tree_economy()
+    tree = base.tree
+    shares = (0.07868807989116416, 0.6623883168266271, 0.2589236032822087)
+    gammas = (3.0, 3.0, 2.0)
+    rhos = (0.09576451081402922, 0.05063197755260279, 0.015484460838700143)
+    agents = tuple(EconomyAgent(g, r, AdaptedProcess(tree, tree.horizon, s * base.aggregate.values))
+                   for g, r, s in zip(gammas, rhos, shares))
+    res = heterogeneous_equilibrium(EconomySpec(tree, base.beta, agents))
+    assert res.method == "tatonnement+root"
+    assert res.residuals["h_inf"] < 1e-10
+    assert res.residuals["clearing"] <= 1e-9
+    assert res.residuals["budget"] <= 1e-9

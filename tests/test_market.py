@@ -12,6 +12,7 @@ from habitree import (
     Partition,
     SpdPair,
     complete_market_from_spd,
+    intermediate_partitions,
     payoff_space_basis,
     perturbed_spd,
     project,
@@ -308,6 +309,35 @@ def test_classify_general_market():
     tree = EventTree.uniform(2, 3)
     market = gi.random_general_market(rng, tree)
     assert validate_market_class(market).labels == frozenset({"general"})
+
+
+@pytest.mark.parametrize("seed,shape", [(s, shape) for s, shape in enumerate(
+    [(2, 2, 2, False), (3, 2, 2, True), (2, 3, 2, False), (1, 2, 3, True), (2, 2, 3, False)],
+    start=70)])
+def test_factor_market_partitions_are_parent_and_factor_blocks(seed, shape):
+    f_depth, f_branch, noise, det = shape
+    market = gi.random_idiosyncratic_market(np.random.default_rng(seed), f_depth, f_branch,
+                                            noise, deterministic_rate=det)
+    assert "idiosyncratic" in validate_market_class(market).labels
+    tree = market.tree
+    for k, part in enumerate(intermediate_partitions(market), start=1):
+        # sigma(G_{k-1}, F_k): nodes sharing a parent and an F_k block
+        blocks = {}
+        keys = zip(tree.parent[tree.depth_nodes[k]], market.idio[k - 1].block_index())
+        for v, key in zip(tree.depth_nodes[k], keys):
+            blocks.setdefault(key, set()).add(int(v))
+        assert {frozenset(map(int, b)) for b in part.blocks} == set(map(frozenset, blocks.values()))
+
+
+def test_unverified_factor_structure_gives_no_partitions():
+    rng = np.random.default_rng(13)
+    tree = EventTree.uniform(2, 3)
+    plain = gi.random_general_market(rng, tree)
+    market = MarketSpec(tree, plain.assets, plain.interest,
+                        idio=tuple(Partition.sibling_groups(tree, k) for k in (1, 2)))
+    assert validate_market_class(market).labels == frozenset({"general"})
+    with pytest.raises(MarketError):
+        intermediate_partitions(market)
 
 
 def test_classify_deterministic_rate_label():

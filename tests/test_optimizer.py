@@ -295,7 +295,7 @@ def test_closed_form_matches_oracle(seed, gamma, static):
 def test_closed_form_matches_newton(seed, gamma, static):
     market, agent = _complete_instance(seed, gamma, static)
     res = solve_consumption(market, agent)
-    newton = _solve_newton(market, agent, 1e-9, 200)
+    newton = _solve_newton(market, agent, 1e-9)
     assert newton.method == "newton"
     for a, b in ((newton.c, res.c), (newton.W, res.W), (newton.R, res.R)):
         assert _rel(a.values, b.values) < 1e-8
@@ -337,8 +337,23 @@ def test_closed_form_scales_with_endowment(seed, gamma, static):
         assert _rel(solve_consumption(market, scaled).c.values, t * base.c.values) < 1e-12
 
 
-def test_closed_form_reports_unmet_tolerance():
-    market, agent = _complete_instance(44, 2.0, True)
+def _assert_unmet_tolerance_raises(market, agent):
+    # tol=1e-30 is below the reachable residual: the closed form fails its
+    # check and Newton stops on its line search or its iteration limit
     with pytest.raises(ConvergenceError) as err:
         solve_consumption(market, agent, tol=1e-30)
     assert 0.0 <= err.value.residual < 1e-12
+
+
+def test_closed_form_reports_unmet_tolerance():
+    _assert_unmet_tolerance_raises(*_complete_instance(44, 2.0, True))
+
+
+def test_newton_reports_unmet_tolerance():
+    rng = np.random.default_rng(45)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    assert not market.is_complete()
+    endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
+    _assert_unmet_tolerance_raises(
+        market, AgentSpec(2.0, 0.03, static_habit_matrix(0.25, tree.horizon), endow))
