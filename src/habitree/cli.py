@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import io as hio
 from .asymptotics import propensity_sweep
 from .equilibrium import (
@@ -141,7 +139,7 @@ def cmd_bounds(config: RunConfig) -> None:
     report = check_sandwich(market, agent, result, coeffs)
     rows = []
     for r in report.rows:
-        i = int(np.argmin(np.minimum(r.value - r.lower, r.upper - r.value)))
+        i = r.tightest()
         rows.append({"period": r.period, "quantity": r.quantity,
                      "lower": float(r.lower[i]), "value": float(r.value[i]),
                      "upper": float(r.upper[i]), "slack": r.slack})

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConditionError, ConvergenceError, SchemaError
 from .market import perturbed_spd
@@ -650,6 +649,8 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
 
 
 def _weights_by_root_finding(economy: EconomySpec, lam0: np.ndarray, tol: float) -> np.ndarray:
+    from scipy import optimize
+
     N = economy.n_agents
     if N == 1:
         return np.array([1.0])

@@ -41,6 +41,8 @@ from .market import (
 from .optimizer import AgentSpec, SolveResult
 from .tree import AdaptedProcess, EventTree, Partition, blockwise_reduce
 
+TIE_RTOL = 1e-12
+
 
 def _discounted_cond_exp(tree: EventTree, M: AdaptedProcess, nxt: np.ndarray, k: int) -> np.ndarray:
     """E[(M_{k+1}/M_k) nxt | G_k] over depth-k nodes."""
@@ -208,6 +210,14 @@ class PeriodBounds:
     @property
     def slack(self) -> float:
         return float(min(np.min(self.value - self.lower), np.min(self.upper - self.value)))
+
+    def tightest(self) -> int:
+        """Position of the node that sets the slack: the first one whose
+        slack is within TIE_RTOL (relative to the largest |value|) of the
+        smallest, so that roundoff does not choose between near-ties."""
+        slack = np.minimum(self.value - self.lower, self.upper - self.value)
+        tie = TIE_RTOL * float(np.max(np.abs(self.value)))
+        return int(np.argmax(slack <= np.min(slack) + tie))
 
 
 @dataclass

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import optimize
 
 from .errors import ConvergenceError, InfeasibleProblemError, SchemaError
 from .market import MarketSpec, _check_habits, perturbed_spd, project, static_habit_matrix
@@ -42,6 +41,7 @@ from .tree import AdaptedProcess, cond_expectation_arrays
 
 FOC_TOL = 1e-9
 MAX_NEWTON_ITER = 200
+STALL_STEPS = 3
 BACKTRACK = 0.5
 SURPLUS_FLOOR = 1e-12
 
@@ -98,53 +98,87 @@ def _check_same_tree(market: MarketSpec, agent: AgentSpec) -> None:
 
 
 class _Problem:
-    """Dense linear maps for one (market, agent) instance.
+    """Sparse linear maps for one (market, agent) instance.
 
-    c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma).
+    c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma),
+    W = Kw theta.  K (CSC) has one column per orthonormal payoff-basis vector
+    and Kw is K without each column's parent-atom entry; L, LK = L K and its
+    transpose LKT are CSR.  All are built once.
     """
 
     def __init__(self, market: MarketSpec, agent: AgentSpec, endowment_values: np.ndarray):
+        from scipy import sparse
+
         _check_same_tree(market, agent)
         tree = market.tree
         self.market = market
         self.agent = agent
-        self.tree = tree
         T = tree.horizon
         n = tree.n_nodes
         self.p = tree.probabilities()
         self.pw = self.p * np.exp(-agent.rho * tree.depth.astype(float))
         self.gamma = agent.gamma
 
+        # L = I - sum_{l<k} beta^(k)_l (ancestor at depth l), as triplets
         anc = tree.ancestor_matrix()
-        L = np.eye(n)
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
         for k in range(1, T + 1):
             nodes = tree.depth_nodes[k]
             for l in range(k):
                 b = agent.habits[k, l]
                 if b != 0.0:
-                    L[nodes, anc[nodes, l]] -= b
-        self.L = L
+                    rows.append(nodes)
+                    cols.append(anc[nodes, l])
+                    vals.append(np.full(len(nodes), -b))
+        self.L = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                  shape=(n, n))
 
-        M = market.spd.values
-        layout = []
-        K = []
         # wealth coordinates over the orthonormalized payoff bases (same
-        # spans as the pruned raw payoffs, far better conditioned)
-        for k in range(1, T + 1):
-            for basis in market.atom_bases(k):
-                for j in range(basis.rank):
-                    col = np.zeros(n)
-                    col[basis.children] = basis.onb[:, j]
-                    u = basis.atom
-                    col[u] -= np.sum(basis.cond_probs * M[basis.children] * basis.onb[:, j]) / M[u]
-                    K.append(col)
-                    layout.append((k, basis, j))
-        self.K = np.column_stack(K) if K else np.zeros((n, 0))
-        self.layout = layout
-        self.n_theta = self.K.shape[1]
+        # spans as the pruned raw payoffs, far better conditioned).  Column j
+        # of K holds, at the atom, minus the price of basis vector j (the
+        # dense col loop's np.sum(cond_probs * M * onb[:, j]) / M[atom]), then
+        # the vector itself on the atom's children, which are contiguous.
+        M = market.spd.values
+        bases = [b for k in range(1, T + 1) for b in market.atom_bases(k)]
+        onb_rows = [b.onb.T.copy() for b in bases]
+        price = np.concatenate([[]] + [np.sum(b.cond_probs * M[b.children] * v, axis=1) / M[b.atom]
+                                       for b, v in zip(bases, onb_rows)])
+        m = self.n_theta = len(price)
+        rank = [b.rank for b in bases]
+        atom = np.repeat([b.atom for b in bases], rank).astype(np.int64)
+        first = np.repeat([b.children[0] for b in bases], rank).astype(np.int64)
+        height = np.repeat([len(b.children) + 1 for b in bases], rank).astype(np.int64)
+        indptr = np.concatenate([[0], np.cumsum(height)])
+        t = np.arange(indptr[-1]) - np.repeat(indptr[:-1], height)    # position in column
+        kids = t > 0
+        indices = np.where(kids, np.repeat(first - 1, height) + t, np.repeat(atom, height))
+        data = np.empty(len(t))
+        data[indptr[:-1]] = -price
+        data[kids] = np.concatenate([[]] + [v.ravel() for v in onb_rows])
+        self.K = sparse.csc_array((data, indices, indptr), shape=(n, m))
+        # the wealth map: K without each column's parent-atom entry
+        self.Kw = sparse.csc_array((data[kids], indices[kids], indptr - np.arange(m + 1)),
+                                   shape=(n, m))
         self.base = endowment_values.copy()
-        self.LK = self.L @ self.K
+        self.LK = LK = self.L @ self.K
+        self.LKT = LK.T.tocsr()
         self.Lbase = self.L @ self.base
+
+        # Hessian pattern, fixed per problem: H[i, j] = sum_n LK[n, i] d_n
+        # LK[n, j] sums over the pairs (a, b) of LK entries sharing a row n.
+        # Each pair adds into entry _pair_pos of H's CSC data; the products
+        # are symmetric in (a, b), so H is exactly symmetric.
+        per_row = np.diff(LK.indptr)
+        rows = np.repeat(np.arange(n), per_row)
+        reps = per_row[rows]                        # pairs that start at entry a
+        a = np.repeat(np.arange(LK.nnz), reps)
+        b = LK.indptr[rows[a]] + np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+        key, self._pair_pos = np.unique(LK.indices[b].astype(np.int64) * m + LK.indices[a],
+                                        return_inverse=True)
+        self._pair_row = rows[a]
+        self._pair_w = LK.data[a] * LK.data[b]
+        self._H_indices = key % m
+        self._H_indptr = np.searchsorted(key, np.arange(m + 1) * m)
 
     def consumption(self, theta: np.ndarray) -> np.ndarray:
         return self.base + self.K @ theta
@@ -153,10 +187,7 @@ class _Problem:
         return self.Lbase + self.LK @ theta
 
     def wealth(self, theta: np.ndarray) -> np.ndarray:
-        W = np.zeros(self.tree.n_nodes)
-        for (k, basis, j), t in zip(self.layout, theta):
-            W[basis.children] += basis.onb[:, j] * t
-        return W
+        return self.Kw @ theta
 
     def utility(self, s) -> float:
         return np.sum(self.pw * s ** (1.0 - self.gamma)) / (1.0 - self.gamma)
@@ -168,23 +199,44 @@ class _Problem:
         return float(self.utility(s))
 
     def grad(self, s: np.ndarray) -> np.ndarray:
-        return self.LK.T @ (self.pw * s ** (-self.gamma))
+        return self.LKT @ (self.pw * s ** (-self.gamma))
 
-    def hess(self, s: np.ndarray) -> np.ndarray:
+    def hess(self, s: np.ndarray):
+        """LK^T diag(d) LK as a CSC matrix."""
+        from scipy import sparse
+
         d = self.pw * (-self.gamma) * s ** (-self.gamma - 1.0)
-        return self.LK.T @ (d[:, None] * self.LK)
+        data = np.bincount(self._pair_pos, weights=self._pair_w * d[self._pair_row],
+                           minlength=len(self._H_indices))
+        m = self.n_theta
+        return sparse.csc_array((data, self._H_indices, self._H_indptr), shape=(m, m))
+
+
+def _newton_direction(H, g: np.ndarray) -> np.ndarray:
+    """Solve -H d = g by sparse LU; RuntimeError on an exactly singular H.
+    Factoring H and solving for -g gives the bits of factoring -H, without
+    building -H."""
+    from scipy.sparse.linalg import splu
+
+    return splu(H).solve(-g)
 
 
 def _phase1_interior(problem: _Problem):
     """LP: maximize the worst surplus over wealth coordinates.  Returns a
     strictly feasible theta or raises InfeasibleProblemError."""
+    from scipy import optimize, sparse
+
     n, m = problem.LK.shape
     if m == 0:
         s = problem.Lbase
         if np.min(s) <= SURPLUS_FLOOR:
             raise InfeasibleProblemError("no tradeable coordinates and endowment surplus not positive")
         return np.zeros(0)
-    A_ub = np.hstack([-problem.LK, np.ones((n, 1))])
+    # A_ub = [-LK, 1] as triplets (linprog hands HiGHS a copy in CSC)
+    A = sparse.coo_array(problem.LK)
+    A_ub = sparse.coo_array((np.concatenate([-A.data, np.ones(n)]),
+                             (np.concatenate([A.row, np.arange(n)]),
+                              np.concatenate([A.col, np.full(n, m)]))), shape=(n, m + 1))
     c = np.zeros(m + 1)
     c[-1] = -1.0
     res = optimize.linprog(c, A_ub=A_ub, b_ub=problem.Lbase,
@@ -388,16 +440,28 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
     problem = _Problem(market, agent, agent.endowment.values / pv)
 
     theta = _phase1_interior(problem)
+    best, stalled = np.inf, 0     # best residual in the quadratic basin
     for it in range(1, MAX_NEWTON_ITER + 1):
         s = problem.surplus(theta)
         res = _foc_residual_on(market, agent, problem.consumption(theta))
         if res < tol:
             return _result_from_theta(problem, theta, pv, it, "newton")
         g = problem.grad(s)
-        H = problem.hess(s)
+        u0 = problem.utility(s)
+        basin = float(np.max(np.abs(g))) < 1e-6 * (1.0 + abs(u0))
+        if basin:
+            # Newton converges quadratically here, so a residual that has
+            # not improved for STALL_STEPS steps sits at roundoff
+            if res < best:
+                best, stalled = res, 0
+            else:
+                stalled += 1
+                if stalled == STALL_STEPS:
+                    reason = "stagnated"
+                    break
         try:
-            d = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
+            d = _newton_direction(problem.hess(s), g)
+        except RuntimeError:
             reason = "singular Newton system"
             break
         ds = problem.LK @ d
@@ -405,8 +469,7 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
         alpha_max = 1.0
         if np.any(neg):
             alpha_max = min(1.0, 0.995 * float(np.min(-s[neg] / ds[neg])))
-        u0 = problem.utility(s)
-        if float(np.max(np.abs(g))) < 1e-6 * (1.0 + abs(u0)):
+        if basin:
             # quadratic basin: Armijo cannot resolve the tiny improvement in
             # floating point; take the (feasibility-capped) Newton step as is
             theta = theta + alpha_max * d
@@ -440,22 +503,27 @@ def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
     polish stationarity of the pure objective with a MINPACK root find.
     Infeasible trial points evaluate to +inf and are rejected by the line
     search; the barrier keeps the path interior."""
+    from scipy import optimize
+
     if problem.n_theta == 0:
         return theta0
     theta = theta0.copy()
+    # BFGS takes thousands of products with LK on at most ~200 coordinates;
+    # a dense copy spares each one the sparse operator's call overhead
+    LK = problem.LK.toarray()
 
     def neg_value(t):
-        s = problem.Lbase + problem.LK @ t
+        s = problem.Lbase + LK @ t
         if np.min(s) <= 0.0:
             return np.inf
         return -np.sum(problem.pw * s ** (1.0 - problem.gamma)) / (1.0 - problem.gamma)
 
     def neg_grad(t, mu=0.0):
-        s = np.maximum(problem.Lbase + problem.LK @ t, SURPLUS_FLOOR)
+        s = np.maximum(problem.Lbase + LK @ t, SURPLUS_FLOOR)
         inner = problem.pw * s ** (-problem.gamma)
         if mu > 0.0:
             inner = inner + mu / s
-        return -(problem.LK.T @ inner)
+        return -(LK.T @ inner)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for mu in BARRIER_SCHEDULE:
@@ -464,7 +532,7 @@ def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
                 base = neg_value(t)
                 if not np.isfinite(base) or mu == 0.0:
                     return base
-                s = problem.Lbase + problem.LK @ t
+                s = problem.Lbase + LK @ t
                 return base - mu * np.sum(np.log(s))
 
             res = optimize.minimize(fun, theta, jac=lambda t, mu=mu: neg_grad(t, mu),

@@ -23,6 +23,15 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the solvers that use it, not at start-up
+    code = ("import sys, habitree.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def iid_input(tmp_path):
     return write_json(tmp_path, "iid.json", {

@@ -15,7 +15,7 @@ from habitree import (
     static_habit_matrix,
     upper_hedging,
 )
-from habitree.estimates import _discounted_cond_exp
+from habitree.estimates import PeriodBounds, _discounted_cond_exp
 from habitree.market import present_value
 
 
@@ -217,3 +217,31 @@ def test_min_slack_by_period():
     per = report.min_slack_by_period()
     assert set(per) == set(range(market.tree.horizon + 1))
     assert min(per.values()) == pytest.approx(report.min_slack())
+
+
+def test_tightest_node_ignores_roundoff_ties():
+    # a tight period: the slack is ~1e-16 at many nodes, so argmin alone
+    # would pick among them by roundoff
+    rng = np.random.default_rng(70)
+    value = rng.uniform(0.5, 2.0, size=40)
+    lower = value - rng.uniform(0.0, 4e-16, size=40)
+    upper = value + rng.uniform(0.1, 1.0, size=40)
+    lower[:5] = value[:5] - 1e-3            # loose nodes come first
+    row = PeriodBounds(3, "consumption", lower, value, upper)
+    assert row.tightest() == 5
+    for _ in range(20):
+        bump = 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=40)
+        assert PeriodBounds(3, "consumption", lower, value * bump, upper).tightest() == 5
+
+
+def test_tightest_node_is_stable_on_solved_rows():
+    market, agent = random_bound_pair(71)
+    res = solve_consumption(market, agent, tol=1e-11)
+    report = check_sandwich(market, agent, res)
+    rng = np.random.default_rng(72)
+    for r in report.rows:
+        i = r.tightest()
+        slack = np.minimum(r.value - r.lower, r.upper - r.value)
+        assert slack[i] <= r.slack + 1e-12 * np.max(np.abs(r.value))
+        bump = 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=r.value.shape)
+        assert PeriodBounds(r.period, r.quantity, r.lower, r.value * bump, r.upper).tightest() == i

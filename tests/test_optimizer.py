@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 import habitree.instances as gi
 from habitree import (
@@ -17,7 +20,13 @@ from habitree import (
     static_habit_matrix,
 )
 from habitree.errors import ConvergenceError, InfeasibleProblemError
-from habitree.optimizer import _habit_adjoint, _phase1_interior, _solve_newton
+from habitree.optimizer import (
+    _habit_adjoint,
+    _newton_direction,
+    _phase1_interior,
+    _Problem,
+    _solve_newton,
+)
 
 
 def unit_endowment(tree):
@@ -339,10 +348,11 @@ def test_closed_form_scales_with_endowment(seed, gamma, static):
 
 def _assert_unmet_tolerance_raises(market, agent):
     # tol=1e-30 is below the reachable residual: the closed form fails its
-    # check and Newton stops on its line search or its iteration limit
+    # check and Newton stops once its residual stagnates at roundoff
     with pytest.raises(ConvergenceError) as err:
         solve_consumption(market, agent, tol=1e-30)
     assert 0.0 <= err.value.residual < 1e-12
+    return str(err.value)
 
 
 def test_closed_form_reports_unmet_tolerance():
@@ -355,5 +365,90 @@ def test_newton_reports_unmet_tolerance():
     market = gi.random_general_market(rng, tree)
     assert not market.is_complete()
     endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
-    _assert_unmet_tolerance_raises(
+    message = _assert_unmet_tolerance_raises(
         market, AgentSpec(2.0, 0.03, static_habit_matrix(0.25, tree.horizon), endow))
+    # the residual reaches roundoff at iteration 7; the stop follows within
+    # a few steps instead of at MAX_NEWTON_ITER
+    assert "stagnated" in message
+    assert int(re.search(r"after (\d+) iterations", message).group(1)) <= 20
+
+
+# -- the sparse problem maps (incomplete route and oracle) ---------------------------
+
+
+def _dense_maps(market, agent):
+    """L, K and the wealth map built densely with per-column loops."""
+    tree = market.tree
+    n = tree.n_nodes
+    anc = tree.ancestor_matrix()
+    L = np.eye(n)
+    for k in range(1, tree.horizon + 1):
+        nodes = tree.depth_nodes[k]
+        for l in range(k):
+            b = agent.habits[k, l]
+            if b != 0.0:
+                L[nodes, anc[nodes, l]] -= b
+    M = market.spd.values
+    K, W = [], []
+    for k in range(1, tree.horizon + 1):
+        for basis in market.atom_bases(k):
+            for j in range(basis.rank):
+                col = np.zeros(n)
+                col[basis.children] = basis.onb[:, j]
+                W.append(col.copy())
+                u = basis.atom
+                col[u] -= np.sum(basis.cond_probs * M[basis.children] * basis.onb[:, j]) / M[u]
+                K.append(col)
+    return L, np.column_stack(K), np.column_stack(W)
+
+
+def _general_instances():
+    for seed in (82, 84, 87, 93):
+        rng = np.random.default_rng(seed)
+        tree = gi.random_tree(rng, min_depth=2)
+        market = gi.random_general_market(rng, tree)
+        yield market, gi.random_agent(rng, tree)
+
+
+@pytest.mark.parametrize("market,agent", list(_general_instances()))
+def test_sparse_maps_match_dense_loops(market, agent):
+    problem = _Problem(market, agent, agent.endowment.values)
+    L, K, W = _dense_maps(market, agent)
+    assert np.array_equal(problem.L.toarray(), L)
+    assert np.array_equal(problem.K.toarray(), K)
+    assert np.array_equal(problem.Kw.toarray(), W)
+    LK = L @ K
+    assert np.max(np.abs(problem.LK.toarray() - LK)) <= 1e-14 * np.max(np.abs(LK))
+    assert np.array_equal(problem.LKT.toarray(), problem.LK.toarray().T)
+
+
+@pytest.mark.parametrize("market,agent", list(_general_instances()))
+def test_sparse_newton_direction_matches_dense_solve(market, agent):
+    assert not market.is_complete()
+    problem = _Problem(market, agent, agent.endowment.values)
+    s = problem.surplus(_phase1_interior(problem))
+    g, H = problem.grad(s), problem.hess(s)
+    dense = np.linalg.solve(-H.toarray(), g)
+    assert _rel(_newton_direction(H, g), dense) < 1e-10
+
+
+def test_singular_newton_system_stops_newton(monkeypatch):
+    market, agent = next(_general_instances())
+
+    def zero_hessian(self, s):
+        m = self.n_theta
+        return sparse.csc_array((m, m))
+
+    monkeypatch.setattr(_Problem, "hess", zero_hessian)
+    with pytest.raises(ConvergenceError, match="singular Newton system"):
+        solve_consumption(market, agent)
+
+
+def test_incomplete_solve_at_scale():
+    rng = np.random.default_rng(85)
+    tree = EventTree.uniform(7, 3)
+    market = gi.random_general_market(rng, tree)
+    assert tree.n_nodes >= 3000 and not market.is_complete()
+    endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
+    res = solve_consumption(market, AgentSpec(1.5, 0.02, static_habit_matrix(0.2, 7), endow))
+    assert res.method == "newton" and res.foc_residual < 1e-9
