@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -59,8 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise SchemaError("command", f"unknown command {self.command!r}")
-        if self.tol is not None and self.tol <= 0.0:
-            raise SchemaError("tol", "tolerances must be positive")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise SchemaError("tol", "tolerances must be positive and finite")
 
 
 def _parse_grid(spec: str, field_name: str) -> list:
@@ -68,14 +69,17 @@ def _parse_grid(spec: str, field_name: str) -> list:
     try:
         if ":" in spec:
             a, b, step = (float(x) for x in spec.split(":"))
-            if step <= 0 or b < a:
+            if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
                 raise ValueError
             n = int(round((b - a) / step))
             grid = [a + i * step for i in range(n + 1)]
             if grid[-1] > b + 1e-12:
                 grid.pop()
             return grid
-        return [float(x) for x in spec.split(",")]
+        grid = [float(x) for x in spec.split(",")]
+        if not all(map(math.isfinite, grid)):
+            raise ValueError
+        return grid
     except ValueError:
         raise SchemaError(field_name, f"cannot parse grid {spec!r}") from None
 
@@ -256,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, input=args.input, output=args.output,
-                       tol=args.tol, seed=args.seed,
-                       beta_grid=getattr(args, "beta_grid", None),
-                       eps0_grid=getattr(args, "eps0_grid", None),
-                       maturity=getattr(args, "maturity", None))
     try:
+        config = RunConfig(command=args.command, input=args.input, output=args.output,
+                           tol=args.tol, seed=args.seed,
+                           beta_grid=getattr(args, "beta_grid", None),
+                           eps0_grid=getattr(args, "eps0_grid", None),
+                           maturity=getattr(args, "maturity", None))
         HANDLERS[config.command](config)
     except HabitreeError as exc:
         code = next((c for cls, c in EXIT_CODES if isinstance(exc, cls)), 1)

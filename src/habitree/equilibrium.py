@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,15 @@ from .tree import AdaptedProcess, EventTree, cond_expectation_arrays
 WEIGHT_TOL = 1e-10          # target sup-norm of the excess demand
 MARGIN_TOL = 1e-10          # strictness margin for existence conditions
 MAX_TATONNEMENT = 500
+MAX_WEIGHT_PASSES = 200     # Newton passes of the weight-equation solve
+
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(x, e) -> np.ndarray:
+    """Elementwise x ** e through libm ``pow``, as Python's float ``**``
+    computes it; numpy's SIMD power can differ in the last bit."""
+    return _libm_pow(x, e).astype(float)
 
 
 @dataclass
@@ -41,8 +51,13 @@ class EconomyAgent:
     endowment: AdaptedProcess
 
     def __post_init__(self):
+        for name in ("gamma", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise SchemaError(name, "must be a finite number")
         if self.gamma <= 0.0 or self.gamma == 1.0:
             raise SchemaError("gamma", "power utility needs gamma > 0 and gamma != 1")
+        if not np.all(np.isfinite(self.endowment.values)):
+            raise SchemaError("endowment", "endowments must be finite")
         if np.any(self.endowment.values < 0.0):
             raise SchemaError("endowment", "endowments must be nonnegative")
 
@@ -70,10 +85,30 @@ class EconomySpec:
         if np.any(agg <= 0.0):
             raise SchemaError("agents.endowment", "aggregate endowment must be strictly positive")
         self.aggregate = AdaptedProcess(self.tree, T, agg)
+        # constants of the weight equation that excess_demand solves at every
+        # node: the aggregate habit surpluses (per depth, and per node in BFS
+        # order), and per agent and depth e^{-rho_i k} and e^{-(rho_i/g_i) k}
+        self.surplus = surplus_slices(self.tree, self.aggregate, self.beta)
+        self.node_surplus = np.concatenate(self.surplus)
+        self.surplus_min = float(np.min(self.node_surplus))
+        self.discount = np.array([[math.exp(-a.rho * k) for k in range(T + 1)]
+                                  for a in self.agents])
+        self.discount_g = np.array([[math.exp(-(a.rho / a.gamma) * k) for k in range(T + 1)]
+                                    for a in self.agents])
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
+
+    @cached_property
+    def weight_powers(self) -> tuple:
+        """Gammas and weight-equation exponents as columns, then per agent
+        and node rhs^-gamma_i and (N/rhs)^gamma_i: the single-agent bounds
+        on the root before the weight factors (needs positive surpluses)."""
+        gam = np.array([[a.gamma] for a in self.agents])
+        expo = np.concatenate([-1.0 / gam, -1.0 / gam - 1.0])
+        rhs = self.node_surplus
+        return gam, expo, _pow(rhs, -gam), _pow(self.n_agents / rhs, gam)
 
 
 @dataclass
@@ -124,8 +159,8 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     beta, g, rho = economy.beta, agent.gamma, agent.rho
     eps = economy.aggregate
     T = tree.horizon
-    s = surplus_slices(tree, eps, beta)
-    surplus_margin = min(float(np.min(s[k])) for k in range(T + 1))
+    s = economy.surplus
+    surplus_margin = economy.surplus_min
     foc_margin = math.inf
     suff_margin = math.inf
     if surplus_margin > 0.0:
@@ -164,7 +199,7 @@ def homogeneous_spd(economy: EconomySpec) -> EquilibriumResult:
     beta, g, rho = economy.beta, agent.gamma, agent.rho
     eps = economy.aggregate
     T = tree.horizon
-    s = surplus_slices(tree, eps, beta)
+    s = economy.surplus
     spow = [sk ** (-g) for sk in s]
     denom = float(spow[0][0]) - beta * math.exp(-rho) * float(
         np.sum(tree.trans_prob[tree.depth_nodes[1]] * spow[1])) if T >= 1 else float(spow[0][0])
@@ -447,8 +482,8 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     beta = economy.beta
     eps = economy.aggregate
     T = tree.horizon
-    s = surplus_slices(tree, eps, beta)
-    surplus_margin = min(float(np.min(s[k])) for k in range(T + 1))
+    s = economy.surplus
+    surplus_margin = economy.surplus_min
     scale_margin = float(np.min((1.0 - beta) * eps.values))
     moment_margin = math.inf
     if surplus_margin > 0.0:
@@ -466,49 +501,65 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
                             math.inf, near)
 
 
-def _solve_weight_equation(economy: EconomySpec, lam: np.ndarray, k: int,
-                           rhs: float) -> float:
-    """Unique y > 0 with sum_i lam_i^{1/g_i} e^{-(rho_i/g_i)k} y^{-1/g_i} = rhs.
+def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
+    """gtilde at every node: the unique y > 0 with
+    sum_i lam_i^{1/g_i} e^{-(rho_i/g_i)k} y^{-1/g_i} = rhs (rhs the node's
+    aggregate surplus, k its depth), and a per-depth mask of stalled solves.
 
     The map is strictly decreasing; brackets come from the single-agent
-    bounds, refined by safeguarded Newton to 1e-13 relative.
+    bounds, refined by safeguarded Newton to 1e-13 relative.  Every node runs
+    its own iteration and leaves the active set once it stops, all nodes
+    stepping together; powers go through libm and agent terms are summed in
+    agent order, so each node gets the bits of a scalar solve.
     """
     agents = economy.agents
     N = len(agents)
-    coef = [lam[i] ** (1.0 / a.gamma) * math.exp(-(a.rho / a.gamma) * k)
-            for i, a in enumerate(agents)]
-    lo = max(lam[i] * math.exp(-a.rho * k) * rhs ** (-a.gamma) for i, a in enumerate(agents))
-    hi = max(lam[i] * math.exp(-a.rho * k) * (N / rhs) ** a.gamma for i, a in enumerate(agents))
-    lo, hi = min(lo, hi), max(lo, hi)
-
-    def f(y):
-        return sum(c * y ** (-1.0 / a.gamma) for c, a in zip(coef, agents)) - rhs
-
-    def fprime(y):
-        return sum(-c / a.gamma * y ** (-1.0 / a.gamma - 1.0) for c, a in zip(coef, agents))
-
+    depth = economy.tree.depth
+    gam, expo, lo_pow, hi_pow = economy.weight_powers
+    coef = np.array([lam[i] ** (1.0 / a.gamma) for i, a in enumerate(agents)])[:, None] \
+        * economy.discount_g
+    # rows: the terms of f, then of its derivative, powers of y by expo
+    C = np.concatenate([coef, -coef / gam])[:, depth]
+    scale = (lam[:, None] * economy.discount)[:, depth]
+    lo = (scale * lo_pow).max(axis=0)
+    hi = (scale * hi_pow).max(axis=0)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    rhs = economy.node_surplus
+    y = np.sqrt(lo * hi)
+    gt = np.full(len(rhs), np.nan)
+    active = np.arange(len(rhs))
     # solve to machine precision: small agent weights divide the budget gap,
     # so any slack here caps the attainable excess-demand accuracy
-    y = math.sqrt(lo * hi)
-    for _ in range(200):
-        fy = f(y)
-        if abs(fy) <= 4e-16 * rhs:
-            break
-        if fy > 0.0:
-            lo = y
-        else:
-            hi = y
-        step = fy / fprime(y)
-        y_new = y - step
-        if not (lo < y_new < hi):
-            y_new = math.sqrt(lo * hi)
-        if abs(y_new - y) <= 4e-16 * y:
-            y = y_new
-            break
-        y = y_new
-    else:
-        raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
-    return y
+    for _ in range(MAX_WEIGHT_PASSES):
+        terms = C * _pow(y, expo)
+        # agent by agent from agent 0, as the scalar sum: np.sum over the
+        # agent axis may pair terms (it does for one node and 10 agents)
+        fy = terms[0]
+        for i in range(1, N):
+            fy = fy + terms[i]
+        fy = fy - rhs
+        fprime = terms[N]
+        for i in range(N + 1, 2 * N):
+            fprime = fprime + terms[i]
+        solved = np.abs(fy) <= 4e-16 * rhs
+        up = fy > 0.0
+        lo = np.where(up, y, lo)
+        hi = np.where(up, hi, y)
+        y_new = y - fy / fprime
+        y_new = np.where((lo < y_new) & (y_new < hi), y_new, np.sqrt(lo * hi))
+        stop = np.abs(y_new - y) <= 4e-16 * y
+        y = np.where(solved, y, y_new)
+        stop |= solved
+        if stop.any():
+            gt[active[stop]] = y[stop]
+            keep = ~stop
+            active, y, lo, hi, rhs = (v[keep] for v in (active, y, lo, hi, rhs))
+            C = C[:, keep]
+            if not len(active):
+                break
+    stalled = np.zeros(economy.tree.horizon + 1, dtype=bool)
+    stalled[depth[active]] = True
+    return gt, stalled
 
 
 @dataclass
@@ -525,10 +576,14 @@ class DemandSystem:
 def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
     """Excess demand h(lambda) of the heterogeneous economy.
 
-    Backward pass: gtilde_k solves the aggregated first-order equation at
-    each depth-k node, g_k = gtilde_k - beta E[gtilde_{k+1} | G_k] (g_T =
-    gtilde_T).  Forward pass: c^i_k = beta c^i_{k-1} +
-    e^{-(rho_i/g_i) k} gtilde_k^{-1/g_i} lam_i^{1/g_i}.  Then
+    Backward pass: gtilde_k solves the aggregated first-order equation (the
+    weight equation) at each depth-k node, g_k = gtilde_k -
+    beta E[gtilde_{k+1} | G_k] (g_T = gtilde_T).  The weight equation is
+    solved for every node of the tree at once, bit-identical to a per-node
+    scalar Newton; for k = T down to 0 a stalled solve at depth k raises
+    ConvergenceError before a nonpositive g_k raises ConditionError; a root
+    beyond the float range raises ConditionError.  Forward pass:
+    c^i_k = beta c^i_{k-1} + e^{-(rho_i/g_i) k} gtilde_k^{-1/g_i} lam_i^{1/g_i}.  Then
     h_i = (sum_k E[g_k c^i_k] - sum_k E[g_k eps^i_k]) / lam_i: the scaled
     budget gap, zero for every agent exactly at equilibrium.  Walras' law
     sum_i lam_i h_i = 0 holds identically.
@@ -539,16 +594,21 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
     lam = np.asarray([float(l) for l in lam])
     if np.any(lam <= 0.0):
         raise ValueError("agent weights must be strictly positive")
-    s = surplus_slices(tree, economy.aggregate, beta)
-    if min(float(np.min(sk)) for sk in s) <= 0.0:
+    if economy.surplus_min <= 0.0:
         raise ConditionError("aggregate habit surplus not positive; weight equation unsolvable")
-    gtilde = [None] * (T + 1)
+    try:
+        gt_all, stalled = _weight_equation_roots(economy, lam)
+    except (ValueError, OverflowError):
+        # libm pow met 0 to a negative power or overflowed: the root or its
+        # bracket at some node lies beyond the float range
+        raise ConditionError("weight-equation root outside the floating-point range; "
+                             "rescale the endowments") from None
+    gtilde = [gt_all[tree.n_upto(k - 1):tree.n_upto(k)] for k in range(T + 1)]
     g = [None] * (T + 1)
     for k in range(T, -1, -1):
-        nodes = tree.depth_nodes[k]
-        gt = np.array([_solve_weight_equation(economy, lam, k, float(s[k][j]))
-                       for j in range(len(nodes))])
-        gtilde[k] = gt
+        if stalled[k]:
+            raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
+        gt = gtilde[k]
         if k == T:
             g[k] = gt
         else:
@@ -558,7 +618,7 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
                 f"candidate SPD nonpositive at depth {k}; existence conditions violated")
     consumptions = []
     for i, a in enumerate(economy.agents):
-        surp = [math.exp(-(a.rho / a.gamma) * k) * gtilde[k] ** (-1.0 / a.gamma)
+        surp = [economy.discount_g[i, k] * gtilde[k] ** (-1.0 / a.gamma)
                 * lam[i] ** (1.0 / a.gamma) for k in range(T + 1)]
         slices = [surp[0]]
         for k in range(1, T + 1):

@@ -16,6 +16,7 @@ deterministic: sorted keys, floats through Python's shortest round-trip repr.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,14 +28,24 @@ from .optimizer import AgentSpec
 from .tree import AdaptedProcess, EventTree, Partition
 
 
+def _finite(val, field: str, what: str = "expected a finite number") -> float:
+    """val as a float; SchemaError(field, what) unless it is a finite JSON
+    number (NaN and Infinity parse, but no model quantity takes them)."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            if math.isfinite(val):
+                return float(val)
+        except OverflowError:          # an integer beyond the float range
+            pass
+    raise SchemaError(field, what)
+
+
 def _need(obj: dict, field: str, kind, where: str):
     if not isinstance(obj, dict) or field not in obj:
         raise SchemaError(f"{where}.{field}" if where else field, "missing")
     val = obj[field]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"{where}.{field}" if where else field, "expected a number")
-        return float(val)
+        return _finite(val, f"{where}.{field}" if where else field)
     if not isinstance(val, kind):
         raise SchemaError(f"{where}.{field}" if where else field,
                           f"expected {kind.__name__}")
@@ -46,11 +57,12 @@ def load_tree(obj: dict) -> EventTree:
     nodes = _need(obj, "nodes", list, "")
     triples = []
     for i, n in enumerate(nodes):
-        nid = _need(n, "id", str, f"nodes[{i}]")
+        where = f"nodes[{i}]"
+        nid = _need(n, "id", str, where)
         parent = n.get("parent")
         if parent is not None and not isinstance(parent, str):
-            raise SchemaError(f"nodes[{i}].parent", "expected node id or null")
-        prob = _need(n, "prob", float, f"nodes[{i}]")
+            raise SchemaError(f"{where}.parent", "expected node id or null")
+        prob = _need(n, "prob", float, where)
         triples.append((nid, parent, prob))
     return EventTree.from_edges(triples, horizon)
 
@@ -67,24 +79,28 @@ def dump_tree(tree: EventTree) -> dict:
 
 def _node_map_to_process(tree: EventTree, mapping: dict, field: str,
                          depths, default: Optional[float] = None) -> AdaptedProcess:
-    vals = np.full(tree.n_nodes, np.nan)
+    vals = np.zeros(tree.n_nodes)
+    seen = np.zeros(tree.n_nodes, dtype=bool)
     for nid, v in mapping.items():
-        if nid not in tree._index:
+        i = tree._index.get(nid)
+        if i is None:
             raise SchemaError(field, f"unknown node id {nid!r}")
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(field, f"value at {nid!r} must be a number")
-        vals[tree.index(nid)] = float(v)
-    for k in range(tree.horizon + 1):
-        nodes = tree.depth_nodes[k]
-        missing = np.isnan(vals[nodes])
-        if k in depths:
-            if np.any(missing):
-                if default is None:
-                    bad = tree.ids[int(nodes[int(np.argmax(missing))])]
-                    raise SchemaError(field, f"missing value at node {bad!r}")
-                vals[nodes] = np.where(missing, default, vals[nodes])
-        else:
-            vals[nodes] = np.where(missing, 0.0, vals[nodes])
+            raise SchemaError(field, f"value at {nid!r} must be a finite number")
+        try:
+            vals[i] = v
+        except OverflowError:          # an integer beyond the float range
+            vals[i] = math.inf
+        seen[i] = True
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise SchemaError(field, f"value at {tree.ids[int(bad[0])]!r} must be a finite number")
+    # nodes left out: an error or the default at the given depths, 0 elsewhere
+    missing = np.flatnonzero(~seen & np.isin(tree.depth, list(depths)))
+    if len(missing):
+        if default is None:
+            raise SchemaError(field, f"missing value at node {tree.ids[int(missing[0])]!r}")
+        vals[missing] = default
     return AdaptedProcess(tree, tree.horizon, vals)
 
 
@@ -155,7 +171,8 @@ def load_agent(obj: dict, tree: EventTree) -> AgentSpec:
                 raise SchemaError("agent.beta_matrix",
                                   f"row {k} must have {k} entries (or {T + 1} in square form)")
             for l, v in enumerate(row):
-                mat[k, l] = float(v)
+                mat[k, l] = _finite(v, "agent.beta_matrix",
+                                    f"row {k} entry {l} must be a finite number")
         habits = mat
     elif "beta" in obj:
         habits = float(_need(obj, "beta", float, "agent"))
@@ -186,7 +203,7 @@ def load_iid(obj: dict) -> IIDEconomy:
     return IIDEconomy(tuple(support),
                       _need(obj, "gamma", float, "iid"),
                       _need(obj, "rho", float, "iid"),
-                      float(obj.get("beta", 0.0)),
+                      _finite(obj.get("beta", 0.0), "iid.beta"),
                       _need(obj, "horizon", int, "iid"))
 
 

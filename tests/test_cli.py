@@ -214,6 +214,63 @@ def test_cli_equilibrium_and_exit_codes(tmp_path):
     assert json.loads(err)["error"] == "ConditionError"
 
 
+def _desk_document():
+    econ = gi.desk_heterogeneous_economy()
+    return {"economy": {
+        "tree": hio.dump_tree(econ.tree), "beta": econ.beta,
+        "agents": [{"gamma": a.gamma, "rho": a.rho,
+                    "endowment": {nid: float(a.endowment.values[i])
+                                  for i, nid in enumerate(econ.tree.ids)}}
+                   for a in econ.agents]}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cli_non_finite_endowment_is_a_schema_error(tmp_path, value):
+    obj = _desk_document()
+    node = obj["economy"]["tree"]["nodes"][3]["id"]
+    obj["economy"]["agents"][0]["endowment"][node] = value
+    path = write_json(tmp_path, "nonfinite.json", obj)
+    assert ("NaN" if value != value else "Infinity") in open(path).read()
+    rc, out, err = run_cli(["equilibrium", "--input", path])
+    assert rc == 2 and out == b""
+    msg = json.loads(err)
+    assert msg["error"] == "SchemaError"
+    assert msg["field"] == "economy.agents[0].endowment"
+    assert repr(node) in msg["message"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_cli_non_finite_scalar_is_a_schema_error(tmp_path, value):
+    obj = _desk_document()
+    obj["economy"]["agents"][1]["rho"] = value
+    path = write_json(tmp_path, "nonfinite.json", obj)
+    rc, out, err = run_cli(["equilibrium", "--input", path])
+    assert rc == 2 and out == b""
+    assert json.loads(err)["field"] == "economy.agents[1].rho"
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda o: o.update(gamma=10 ** 400), "iid.gamma"),
+    (lambda o: o.update(beta=float("nan")), "iid.beta"),
+    (lambda o: o["support"][0].update(x=float("inf")), "iid.support[0].x"),
+])
+def test_load_iid_rejects_numbers_beyond_the_float_range(edit, field):
+    obj = {"support": [{"x": 3.0, "p": 0.5}, {"x": 4.0, "p": 0.5}],
+           "gamma": 2.0, "rho": 0.0, "beta": 0.0, "horizon": 1}
+    edit(obj)
+    with pytest.raises(SchemaError) as info:
+        hio.load_iid(obj)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_cli_bad_tolerance_is_a_schema_error(tmp_path, tol):
+    path = write_json(tmp_path, "desk.json", _desk_document())
+    rc, out, err = run_cli(["equilibrium", "--input", path, "--tol", tol])
+    assert rc == 2 and out == b""
+    assert json.loads(err)["field"] == "tol"
+
+
 def test_cli_malformed_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -259,6 +316,18 @@ def test_run_config_validation():
         RunConfig(command="unknown")
     with pytest.raises(SchemaError):
         RunConfig(command="solve", tol=-1.0)
+    # a NaN tolerance would let every residual test pass
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(SchemaError):
+            RunConfig(command="equilibrium", tol=tol)
+
+
+@pytest.mark.parametrize("spec", ["0.1,nan", "inf", "0:inf:0.1", "0:1:nan"])
+def test_grids_reject_non_finite_values(spec):
+    from habitree.cli import _parse_grid
+
+    with pytest.raises(SchemaError):
+        _parse_grid(spec, "beta-grid")
 
 
 def test_figure_data_grids():

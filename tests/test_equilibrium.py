@@ -8,6 +8,7 @@ from habitree import (
     AdaptedProcess,
     AgentSpec,
     ConditionError,
+    ConvergenceError,
     EconomyAgent,
     EconomySpec,
     EventTree,
@@ -335,6 +336,123 @@ def test_weight_equation_solved_to_tolerance():
         assert np.max(np.abs(lhs - s[k]) / s[k]) < 1e-12
 
 
+def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
+    """The per-node weight-equation solve that excess_demand replaced, kept
+    as the bit-level reference; appends k to ``fallbacks`` whenever a
+    Newton step leaves the bracket and the geometric midpoint is taken."""
+    agents = economy.agents
+    N = len(agents)
+    coef = [lam[i] ** (1.0 / a.gamma) * math.exp(-(a.rho / a.gamma) * k)
+            for i, a in enumerate(agents)]
+    lo = max(lam[i] * math.exp(-a.rho * k) * rhs ** (-a.gamma) for i, a in enumerate(agents))
+    hi = max(lam[i] * math.exp(-a.rho * k) * (N / rhs) ** a.gamma for i, a in enumerate(agents))
+    lo, hi = min(lo, hi), max(lo, hi)
+
+    def f(y):
+        return sum(c * y ** (-1.0 / a.gamma) for c, a in zip(coef, agents)) - rhs
+
+    def fprime(y):
+        return sum(-c / a.gamma * y ** (-1.0 / a.gamma - 1.0) for c, a in zip(coef, agents))
+
+    y = math.sqrt(lo * hi)
+    for _ in range(200):
+        fy = f(y)
+        if abs(fy) <= 4e-16 * rhs:
+            return y
+        if fy > 0.0:
+            lo = y
+        else:
+            hi = y
+        y_new = y - fy / fprime(y)
+        if not (lo < y_new < hi):
+            fallbacks.append(k)
+            y_new = math.sqrt(lo * hi)
+        if abs(y_new - y) <= 4e-16 * y:
+            return y_new
+        y = y_new
+    raise AssertionError(f"reference solve stalled at period {k}")
+
+
+def _assert_gtilde_matches_scalar(economy, lam):
+    """Every node's gtilde equals the scalar reference bit for bit; returns
+    the depths at which the reference took its bisection fallback."""
+    lam = np.asarray([float(l) for l in lam])
+    system = excess_demand(economy, lam)
+    fallbacks = []
+    for k in range(economy.tree.horizon + 1):
+        rhs = economy.aggregate.at_depth(k) if k == 0 else (
+            economy.aggregate.at_depth(k) - economy.beta
+            * economy.aggregate.values[economy.tree.parent[economy.tree.depth_nodes[k]]])
+        want = np.array([_scalar_weight_root(economy, lam, k, float(r), fallbacks) for r in rhs])
+        assert np.array_equal(system.gtilde[k], want), k
+    return fallbacks
+
+
+def test_vectorised_weight_solve_matches_scalar():
+    from habitree.verify import _random_economy, _rng
+
+    desk = gi.desk_heterogeneous_economy()
+    for lam in ([0.6, 0.4], [0.7, 0.3], [2.5, 0.2]):
+        _assert_gtilde_matches_scalar(desk, lam)
+    # a vanishing weight sends Newton out of its bracket
+    assert _assert_gtilde_matches_scalar(desk, [1e-6, 1.0])
+    # the walras suite's economies and weights, seeds 0-3
+    checked = 0
+    for seed in range(4):
+        rng = _rng(seed, "walras")
+        for _ in range(15):
+            economy = _random_economy(rng)
+            if not heterogeneous_conditions(economy).holds:
+                continue
+            for _ in range(3):
+                lam = rng.uniform(0.2, 2.0, size=economy.n_agents)
+                for t in (1.0, 0.5, 3.0):
+                    _assert_gtilde_matches_scalar(economy, t * lam)
+                checked += 1
+    assert checked > 100
+    # a deeper tree with spread risk aversions
+    base = gi.example_iid_economy(beta=0.1, horizon=8).tree_economy()
+    tree = base.tree
+    agents = tuple(EconomyAgent(g, r, AdaptedProcess(tree, tree.horizon, s * base.aggregate.values))
+                   for g, r, s in zip((0.5, 2.0, 5.0), (0.0, 0.03, 0.05), (0.3, 0.5, 0.2)))
+    deep = EconomySpec(tree, 0.1, agents)
+    for lam in ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3]):
+        _assert_gtilde_matches_scalar(deep, lam)
+
+
+def test_stalled_weight_solve_reports_the_deepest_period(monkeypatch):
+    import habitree.equilibrium as eqm
+
+    econ = gi.desk_heterogeneous_economy()
+    monkeypatch.setattr(eqm, "MAX_WEIGHT_PASSES", 1)
+    with pytest.raises(ConvergenceError, match="stalled at period 2"):
+        excess_demand(econ, [0.6, 0.4])
+
+
+def test_weight_root_beyond_float_range_is_a_condition_error():
+    econ = gi.desk_heterogeneous_economy()
+    tree = econ.tree
+    vals = econ.agents[0].endowment.values.copy()
+    vals[3] = 1e200
+    agents = (EconomyAgent(2.0, 0.0, AdaptedProcess(tree, tree.horizon, vals)),) + econ.agents[1:]
+    with pytest.raises(ConditionError, match="floating-point range"):
+        excess_demand(EconomySpec(tree, econ.beta, agents), [0.6, 0.4])
+
+
+@pytest.mark.parametrize("field,value", [("gamma", math.nan), ("rho", math.inf),
+                                         ("endowment", math.nan)])
+def test_economy_agent_rejects_non_finite_numbers(field, value):
+    tree = EventTree.single_path(1)
+    args = {"gamma": 2.0, "rho": 0.0, "endowment": np.array([1.0, 1.5])}
+    if field == "endowment":
+        args["endowment"][1] = value
+    else:
+        args[field] = value
+    with pytest.raises(SchemaError) as info:
+        EconomyAgent(args["gamma"], args["rho"], AdaptedProcess(tree, 1, args["endowment"]))
+    assert info.value.field == field
+
+
 def test_heterogeneous_conditions_guard():
     tree = EventTree.single_path(1)
     econ = EconomySpec(tree, 0.9, (
@@ -405,3 +523,18 @@ def test_three_agent_root_finding_fallback():
     assert res.residuals["h_inf"] < 1e-10
     assert res.residuals["clearing"] <= 1e-9
     assert res.residuals["budget"] <= 1e-9
+
+
+def test_two_agent_root_finding_fallback(monkeypatch):
+    # with tatonnement cut short, the two-agent root finder (brentq on the
+    # first weight) must land on the weights tatonnement reaches
+    import habitree.equilibrium as eqm
+
+    econ = gi.desk_heterogeneous_economy()
+    full = heterogeneous_equilibrium(econ)
+    assert full.method == "tatonnement"
+    monkeypatch.setattr(eqm, "MAX_TATONNEMENT", 2)
+    res = heterogeneous_equilibrium(econ)
+    assert res.method == "tatonnement+root"
+    assert res.residuals["h_inf"] < 1e-10
+    assert np.max(np.abs(np.array(res.lambdas) - np.array(full.lambdas))) < 1e-9
