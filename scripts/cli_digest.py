@@ -7,8 +7,10 @@ OUT.json, and the same with each stream's parsed output to OUT.values.json
 (the JSON tree; CSV columns merged with the `# summary` JSON; other text as
 is).  Inputs are two `perfbench/gen.py` documents (seed 7) of each kind:
 `solve`, `bounds`, `asymptotics` and `spd` on the market kinds,
-`equilibrium` on the economies, plus `verify` with the default seed and with
-seeds 1-3.
+`equilibrium` on the economies and on the two-agent desk economy,
+`bond-curve` and `lucas-curve` on the bundled growth economy (defaults, and
+a bond at maturity 5 on a coarser grid), plus `verify` with the default seed
+and with seeds 1-3.
 
   python scripts/cli_digest.py OLD/src old.json
   python scripts/cli_digest.py src new.json
@@ -48,6 +50,13 @@ def runs(workdir: Path):
             path.write_text(text)
             for command in commands:
                 yield f"{command} {path.name}", [command, "--input", path.name]
+    desk = workdir / "desk-economy.json"
+    desk.write_text(json.dumps(gen.desk_economy()))
+    yield f"equilibrium {desk.name}", ["equilibrium", "--input", desk.name]
+    yield "bond-curve", ["bond-curve"]
+    yield "lucas-curve", ["lucas-curve"]
+    grid = ["--maturity", "5", "--beta-grid", "0:0.5:0.05"]
+    yield "bond-curve " + " ".join(grid), ["bond-curve", *grid]
     yield "verify", ["verify"]
     for seed in ("1", "2", "3"):
         yield f"verify --seed {seed}", ["verify", "--seed", seed]

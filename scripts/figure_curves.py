@@ -1,6 +1,7 @@
 """Reproduce the habit-sensitivity figure data for the two-point growth
 economy: the one-period interest-rate curve and the long-run Lucas-equity
-curve on a 101-point beta grid.
+curve on the 101-point beta grid 0:1:0.01, written by the `bond-curve` and
+`lucas-curve` commands.
 
 Run:
   python scripts/figure_curves.py --out-dir outputs
@@ -9,9 +10,7 @@ Run:
 import argparse
 import os
 
-from habitree.cli import emit_figure_data
-from habitree.instances import example_iid_economy
-from habitree.io import fmt17
+from habitree.cli import main as cli_main
 
 
 def main():
@@ -19,16 +18,14 @@ def main():
     parser.add_argument("--out-dir", default="outputs")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
-    econ = example_iid_economy(horizon=1)
-    for figure, name in ((1, "interest_rate_vs_beta.csv"),
-                         (2, "lucas_equity_vs_beta.csv")):
-        rows = emit_figure_data(econ, figure)
+    for figure, command, name in ((1, "bond-curve", "interest_rate_vs_beta.csv"),
+                                  (2, "lucas-curve", "lucas_equity_vs_beta.csv")):
         path = os.path.join(args.out_dir, name)
-        with open(path, "w") as fh:
-            fh.write("beta,value\n")
-            for b, v in rows:
-                fh.write(f"{fmt17(b)},{fmt17(v)}\n")
-        print(f"figure {figure}: {path}  endpoints {rows[0][1]:.6f} -> {rows[-1][1]:.6f}")
+        if cli_main([command, "--output", path]) != 0:
+            raise SystemExit(f"habitree {command} failed")
+        with open(path) as fh:
+            values = [float(line.split(",")[1]) for line in fh.readlines()[1:]]
+        print(f"figure {figure}: {path}  endpoints {values[0]:.6f} -> {values[-1]:.6f}")
 
 
 if __name__ == "__main__":

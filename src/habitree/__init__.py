@@ -50,7 +50,6 @@ from .market import (
     complete_market_from_spd,
     compute_aggregate_spd,
     intermediate_partitions,
-    payoff_space_basis,
     perturbed_spd,
     present_value,
     project,

@@ -12,7 +12,6 @@ habit-chain lower floors on consumption/wealth ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +43,13 @@ def habit_chain_floors(habits: np.ndarray) -> np.ndarray:
     products of habit coefficients along the chain (beta^k for static habits).
     Lower floors for c_k/c_0 at large initial endowment; alpha_0 = 0 (the
     period-0 floor is plain positivity)."""
-    T = habits.shape[0] - 1
-
-    @lru_cache(maxsize=None)
-    def w(top: int) -> float:
-        if top == 0:
-            return 1.0  # empty-chain base of the recursion
-        return float(sum(habits[top, s] * w(s) for s in range(top) if habits[top, s] != 0.0))
-
-    return np.array([0.0] + [w(k) for k in range(1, T + 1)])
+    # w[0] = 1 is the empty chain; rows come in k order, so each w[l] is final
+    w = np.zeros(habits.shape[0])
+    w[0] = 1.0
+    for k, l in zip(*np.nonzero(habits)):
+        w[k] += habits[k, l] * w[l]
+    w[0] = 0.0
+    return w
 
 
 @dataclass

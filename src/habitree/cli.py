@@ -206,17 +206,6 @@ def cmd_verify(config: RunConfig) -> None:
         raise ConvergenceError("verification suites reported failures")
 
 
-def emit_figure_data(econ: IIDEconomy, number: int) -> list:
-    """101-point beta grid on [0, 1]: figure 1 is the one-period bond price
-    (the interest-rate curve), figure 2 the long-run Lucas tree price."""
-    grid = [i / 100.0 for i in range(101)]
-    if number == 1:
-        return bond_curve(econ, 1, grid)
-    if number == 2:
-        return lucas_curve(econ, grid)
-    raise ValueError("figure must be 1 or 2")
-
-
 HANDLERS = {
     "spd": cmd_spd,
     "solve": cmd_solve,

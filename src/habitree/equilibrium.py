@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError, ConvergenceError, SchemaError
-from .market import perturbed_spd
+from .market import habit_surplus, perturbed_spd, static_habit_matrix
 from .tree import AdaptedProcess, EventTree, cond_expectation_arrays
 
 WEIGHT_TOL = 1e-10          # target sup-norm of the excess demand
@@ -88,8 +88,8 @@ class EconomySpec:
         # constants of the weight equation that excess_demand solves at every
         # node: the aggregate habit surpluses (per depth, and per node in BFS
         # order), and per agent and depth e^{-rho_i k} and e^{-(rho_i/g_i) k}
-        self.surplus = surplus_slices(self.tree, self.aggregate, self.beta)
-        self.node_surplus = np.concatenate(self.surplus)
+        self.node_surplus = habit_surplus(self.tree, static_habit_matrix(self.beta, T), agg)
+        self.surplus = [self.node_surplus[nodes] for nodes in self.tree.depth_nodes]
         self.surplus_min = float(np.min(self.node_surplus))
         self.discount = np.array([[math.exp(-a.rho * k) for k in range(T + 1)]
                                   for a in self.agents])
@@ -123,20 +123,6 @@ class EquilibriumResult:
     method: str = "closed-form"
 
 
-def surplus_slices(tree: EventTree, eps: AdaptedProcess, beta: float) -> list:
-    """Habit-adjusted endowment surpluses eps_k - beta*eps_{k-1} per depth
-    (period 0: the endowment itself)."""
-    out = [eps.at_depth(0).copy()]
-    for k in range(1, tree.horizon + 1):
-        nodes = tree.depth_nodes[k]
-        out.append(eps.at_depth(k) - beta * eps.values[tree.parent[nodes]])
-    return out
-
-
-def _cond_exp_to_parent(tree: EventTree, arr: np.ndarray, k: int) -> np.ndarray:
-    return cond_expectation_arrays(tree, arr, k, k - 1)
-
-
 @dataclass
 class ConditionsReport:
     holds: bool
@@ -157,7 +143,6 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     tree = economy.tree
     agent = economy.agents[0]
     beta, g, rho = economy.beta, agent.gamma, agent.rho
-    eps = economy.aggregate
     T = tree.horizon
     s = economy.surplus
     surplus_margin = economy.surplus_min
@@ -166,11 +151,9 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     if surplus_margin > 0.0:
         for k in range(1, T + 1):
             lhs = s[k - 1] ** (-g)
-            rhs = beta * math.exp(-rho) * _cond_exp_to_parent(tree, s[k] ** (-g), k)
+            rhs = beta * math.exp(-rho) * cond_expectation_arrays(tree, s[k] ** (-g), k, k - 1)
             foc_margin = min(foc_margin, float(np.min(lhs - rhs)))
-            prev = eps.values[tree.parent[tree.depth_nodes[k]]]
-            suff = eps.at_depth(k) - beta * prev \
-                - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][tree.parent_pos(k)]
+            suff = s[k] - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][tree.parent_pos(k)]
             suff_margin = min(suff_margin, float(np.min(suff)))
     else:
         foc_margin = -math.inf
@@ -225,13 +208,14 @@ def _static_foc_residual(tree: EventTree, Mt: AdaptedProcess, c: AdaptedProcess,
                          beta: float, g: float, rho: float) -> float:
     """Relative violation of (c_k - beta c_{k-1})^-g = e^rho (Mt_k/Mt_{k-1})
     (c_{k-1} - beta c_{k-2})^-g."""
-    s = surplus_slices(tree, c, beta)
+    s = habit_surplus(tree, static_habit_matrix(beta, tree.horizon), c.values)
     worst = 0.0
     for k in range(1, tree.horizon + 1):
         nodes = tree.depth_nodes[k]
-        lhs = s[k] ** (-g)
-        ratio = Mt.at_depth(k) / Mt.values[tree.parent[nodes]]
-        rhs = math.exp(rho) * ratio * s[k - 1][tree.parent_pos(k)] ** (-g)
+        parents = tree.parent[nodes]
+        lhs = s[nodes] ** (-g)
+        ratio = Mt.at_depth(k) / Mt.values[parents]
+        rhs = math.exp(rho) * ratio * s[parents] ** (-g)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))))
     return worst
 
@@ -489,7 +473,7 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     if surplus_margin > 0.0:
         for k in range(1, T + 1):
             worst = np.max([s[k] ** (-a.gamma) for a in economy.agents], axis=0)
-            lhs = beta * _cond_exp_to_parent(tree, worst, k)
+            lhs = beta * cond_expectation_arrays(tree, worst, k, k - 1)
             rhs = np.min([math.exp(-a.rho) * s[k - 1] ** (-a.gamma) for a in economy.agents], axis=0)
             moment_margin = min(moment_margin, float(np.min(rhs - lhs)))
     else:
@@ -612,7 +596,7 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
         if k == T:
             g[k] = gt
         else:
-            g[k] = gt - beta * _cond_exp_to_parent(tree, gtilde[k + 1], k + 1)
+            g[k] = gt - beta * cond_expectation_arrays(tree, gtilde[k + 1], k + 1, k)
         if np.any(g[k] <= 0.0):
             raise ConditionError(
                 f"candidate SPD nonpositive at depth {k}; existence conditions violated")
@@ -667,12 +651,14 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
 
     Damped multiplicative tatonnement lam_i <- lam_i exp(-kappa h_i/(1+|h_i|)),
     renormalized to the simplex each step, kappa halved on oscillation; after
-    MAX_TATONNEMENT steps a root finder on the simplex interior takes over
-    (``method="tatonnement+root"``): bracketing on the first weight for two
-    agents, MINPACK ``hybr`` on log-weight ratios for three or more.  Scale
-    is unidentified (h is homogeneous of degree zero), so the simplex
-    normalization is exact, not a restriction.
+    MAX_TATONNEMENT steps MINPACK ``hybr`` on the log-weight ratios takes over
+    (``method="tatonnement+root"``), and the final excess demand decides
+    success.  Scale is unidentified (h is homogeneous of degree zero), so the
+    simplex normalization is exact, not a restriction.  Raises ValueError
+    unless 0 < tol < inf.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     cond = heterogeneous_conditions(economy)
     if not cond.holds:
         raise ConditionError(
@@ -697,7 +683,7 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
         lam = lam * np.exp(-kappa * h / (1.0 + np.abs(h)))
         lam = lam / lam.sum()
 
-    lam = _weights_by_root_finding(economy, lam, tol)
+    lam = _weights_by_root_finding(economy, lam)
     system = excess_demand(economy, lam)
     walras.append(float(np.dot(lam, system.h)))
     if np.max(np.abs(system.h)) >= tol:
@@ -708,19 +694,11 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
                                 MAX_TATONNEMENT, "tatonnement+root")
 
 
-def _weights_by_root_finding(economy: EconomySpec, lam0: np.ndarray, tol: float) -> np.ndarray:
+def _weights_by_root_finding(economy: EconomySpec, lam0: np.ndarray) -> np.ndarray:
+    """Weights zeroing the first N-1 excess demands (Walras' law gives the
+    last), by MINPACK ``hybr`` on z = log(lam_i / lam_N).  One agent leaves
+    z empty, which ``hybr`` returns as is: the weight stays 1."""
     from scipy import optimize
-
-    N = economy.n_agents
-    if N == 1:
-        return np.array([1.0])
-    if N == 2:
-        def h1(x):
-            return excess_demand(economy, np.array([x, 1.0 - x])).h[0]
-
-        lo, hi = 1e-12, 1.0 - 1e-12
-        x = float(optimize.brentq(h1, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=600))
-        return np.array([x, 1.0 - x])
 
     def resid(z):
         lam = np.exp(np.concatenate([z, [0.0]]))

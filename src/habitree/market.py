@@ -140,6 +140,8 @@ class MarketSpec:
         return out
 
     def atom_bases(self, k: int) -> list:
+        """Pruned payoff-space basis of L_k, one :class:`AtomBasis` per
+        depth-(k-1) atom (bond vector first, dependent columns dropped)."""
         if not 1 <= k <= self.tree.horizon:
             raise ValueError(f"depth {k} outside 1..{self.tree.horizon}")
         return self._bases[k]
@@ -178,12 +180,6 @@ def _prune_columns(full: np.ndarray, w: np.ndarray):
             ortho.append(r / norm_r)
     onb = np.column_stack(ortho) if ortho else np.zeros((full.shape[0], 0))
     return tuple(kept_cols), full[:, list(kept_cols)], onb
-
-
-def payoff_space_basis(market: MarketSpec, k: int) -> list:
-    """Pruned payoff-space basis of L_k, one :class:`AtomBasis` per
-    depth-(k-1) atom (bond vector first, dependent columns dropped)."""
-    return market.atom_bases(k)
 
 
 def project(market: MarketSpec, X: Union[AdaptedProcess, np.ndarray], k: int) -> np.ndarray:
@@ -265,6 +261,32 @@ def static_habit_matrix(beta: float, horizon: int) -> np.ndarray:
     for k in range(1, horizon + 1):
         mat[k, k - 1] = beta
     return mat
+
+
+def habit_terms(tree: EventTree, habits: np.ndarray):
+    """(depth-k nodes, their depth-l ancestors, beta^(k)_l) for every nonzero
+    habit coefficient, k ascending, then l ascending."""
+    for k, l in zip(*np.nonzero(habits)):
+        nodes = anc = tree.depth_nodes[k]
+        for _ in range(k - l):
+            anc = tree.parent[anc]
+        yield nodes, anc, habits[k, l]
+
+
+def habit_surplus(tree: EventTree, habits: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """s_k = c_k - sum_{l<k} beta^(k)_l c_l (ancestors' consumption)."""
+    s = c.copy()
+    for nodes, anc, b in habit_terms(tree, habits):
+        s[nodes] -= b * c[anc]
+    return s
+
+
+def consumption_from_surplus(tree: EventTree, habits: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`habit_surplus`, run forward through the depths."""
+    c = s.copy()
+    for nodes, anc, b in habit_terms(tree, habits):
+        c[nodes] += b * c[anc]
+    return c
 
 
 def _check_habits(habits: np.ndarray, horizon: int) -> np.ndarray:

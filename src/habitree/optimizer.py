@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleProblemError, SchemaError
-from .market import MarketSpec, _check_habits, perturbed_spd, project, static_habit_matrix
+from .market import (MarketSpec, _check_habits, consumption_from_surplus, habit_surplus,
+                     habit_terms, perturbed_spd, project, static_habit_matrix)
 from .tree import AdaptedProcess, cond_expectation_arrays
 
 FOC_TOL = 1e-9
@@ -68,11 +69,6 @@ class AgentSpec:
         if np.isscalar(self.habits):
             self.habits = static_habit_matrix(float(self.habits), T)
         self.habits = _check_habits(self.habits, T)
-
-    @classmethod
-    def with_static_habit(cls, gamma: float, rho: float, beta: float,
-                          endowment: AdaptedProcess) -> "AgentSpec":
-        return cls(gamma, rho, static_habit_matrix(beta, endowment.tree.horizon), endowment)
 
 
 @dataclass
@@ -120,16 +116,11 @@ class _Problem:
         self.gamma = agent.gamma
 
         # L = I - sum_{l<k} beta^(k)_l (ancestor at depth l), as triplets
-        anc = tree.ancestor_matrix()
         rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
-        for k in range(1, T + 1):
-            nodes = tree.depth_nodes[k]
-            for l in range(k):
-                b = agent.habits[k, l]
-                if b != 0.0:
-                    rows.append(nodes)
-                    cols.append(anc[nodes, l])
-                    vals.append(np.full(len(nodes), -b))
+        for nodes, anc, b in habit_terms(tree, agent.habits):
+            rows.append(nodes)
+            cols.append(anc)
+            vals.append(np.full(len(nodes), -b))
         self.L = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                                   shape=(n, n))
 
@@ -253,32 +244,6 @@ def _phase1_interior(problem: _Problem):
 # -- per-depth maps shared by both routes -------------------------------------------
 
 
-def _habit_surplus(tree, habits: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """s_k = c_k - sum_{l<k} beta^(k)_l c_l (ancestors' consumption)."""
-    anc = tree.ancestor_matrix()
-    s = c.copy()
-    for k in range(1, tree.horizon + 1):
-        nodes = tree.depth_nodes[k]
-        for l in range(k):
-            b = habits[k, l]
-            if b != 0.0:
-                s[nodes] -= b * c[anc[nodes, l]]
-    return s
-
-
-def _consumption_from_surplus(tree, habits: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_habit_surplus`, run forward through the depths."""
-    anc = tree.ancestor_matrix()
-    c = s.copy()
-    for k in range(1, tree.horizon + 1):
-        nodes = tree.depth_nodes[k]
-        for l in range(k):
-            b = habits[k, l]
-            if b != 0.0:
-                c[nodes] += b * c[anc[nodes, l]]
-    return c
-
-
 def _habit_adjoint(tree, habits: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x_k - sum_{m>k} beta^(m)_k E[x_m | G_k], walked backward one depth at
     a time.  Applied to the marginal utilities e^{-rho k} s_k^{-gamma} it
@@ -331,7 +296,7 @@ def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
 
 def _foc_residual_on(market: MarketSpec, agent: AgentSpec, c: np.ndarray) -> float:
     tree = market.tree
-    return _foc_residual(market, _supporting_spd(agent, tree, _habit_surplus(tree, agent.habits, c)))
+    return _foc_residual(market, _supporting_spd(agent, tree, habit_surplus(tree, agent.habits, c)))
 
 
 def _utility_of_surplus(agent: AgentSpec, tree, s: np.ndarray) -> float:
@@ -353,13 +318,13 @@ def evaluate_utility(agent: AgentSpec, c: AdaptedProcess) -> float:
     and the value is -inf; for gamma < 1 a zero surplus contributes zero and
     negative surpluses are outside the utility domain.
     """
-    return _utility_of_surplus(agent, c.tree, _habit_surplus(c.tree, agent.habits, c.values))
+    return _utility_of_surplus(agent, c.tree, habit_surplus(c.tree, agent.habits, c.values))
 
 
 def _result(market: MarketSpec, agent: AgentSpec, c: np.ndarray, W: np.ndarray,
             iterations: int, method: str) -> SolveResult:
     tree = market.tree
-    s = _habit_surplus(tree, agent.habits, c)
+    s = habit_surplus(tree, agent.habits, c)
     R = _supporting_spd(agent, tree, s)
     return SolveResult(
         c=AdaptedProcess(tree, tree.horizon, c),
@@ -399,7 +364,7 @@ def _solve_complete(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveRe
     eps = agent.endowment.values
     Mt = perturbed_spd(market.spd, agent.habits).values
     s1 = (np.exp(agent.rho * tree.depth.astype(float)) * Mt) ** (-1.0 / agent.gamma)
-    c1 = _consumption_from_surplus(tree, agent.habits, s1)
+    c1 = consumption_from_surplus(tree, agent.habits, s1)
     p = tree.probabilities()
     c = c1 * (np.sum(p * M * eps) / np.sum(p * M * c1))
     result = _result(market, agent, c, _wealth(tree, M, c - eps), 0, "closed-form")
@@ -421,9 +386,11 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL
     power-utility scaling property).  Raises ConvergenceError with the
     residual when the first-order residual is not brought below ``tol``
     (Newton names its stop: a singular Newton system, a failed line search
-    or MAX_NEWTON_ITER iterations), and SchemaError on an identically zero
-    endowment.
+    or MAX_NEWTON_ITER iterations), SchemaError on an identically zero
+    endowment, and ValueError unless 0 < tol < inf.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if np.all(agent.endowment.values == 0.0):
         raise SchemaError("endowment", "endowment must not be identically zero")
     _check_same_tree(market, agent)

@@ -178,7 +178,7 @@ def test_criterion_6_asymptotic_rates():
 def test_criterion_7_homogeneous_feedback():
     econ = gi.example_iid_economy(beta=0.4, horizon=2, rho=0.02).tree_economy()
     market = gi.market_from_homogeneous(econ)
-    agent = AgentSpec.with_static_habit(2.0, 0.02, 0.4, econ.aggregate)
+    agent = AgentSpec(2.0, 0.02, 0.4, econ.aggregate)
     res = solve_consumption(market, agent, tol=1e-12)
     gap_c = float(np.max(np.abs(res.c.values - econ.aggregate.values)))
 

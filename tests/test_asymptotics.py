@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,29 @@ def test_chain_floors_examples():
     beta = 0.4
     floors = habit_chain_floors(static_habit_matrix(beta, 2))
     assert np.allclose(floors, [0.0, beta, beta ** 2], atol=1e-15)
+
+
+def _chain_floors_recursion(habits):
+    """The memoised recursion that habit_chain_floors replaced, kept as the
+    reference for its bits."""
+    T = habits.shape[0] - 1
+
+    @lru_cache(maxsize=None)
+    def w(top):
+        if top == 0:
+            return 1.0
+        return float(sum(habits[top, s] * w(s) for s in range(top) if habits[top, s] != 0.0))
+
+    return np.array([0.0] + [w(k) for k in range(1, T + 1)])
+
+
+def test_chain_floors_match_recursion():
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        T = int(rng.integers(0, 9))
+        for habits in (static_habit_matrix(float(rng.uniform(0.0, 0.9)), T),
+                       gi.random_habit_matrix(rng, T, beta_max=0.9)):
+            assert np.array_equal(habit_chain_floors(habits), _chain_floors_recursion(habits))
 
 
 def test_floors_hold_at_large_initial_endowment():

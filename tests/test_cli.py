@@ -8,7 +8,7 @@ import pytest
 import habitree.instances as gi
 from habitree import EventTree, SchemaError, intermediate_partitions, validate_market_class
 from habitree import io as hio
-from habitree.cli import RunConfig, emit_figure_data, main
+from habitree.cli import RunConfig, main
 
 
 def run_cli(args, tmp_path=None):
@@ -330,10 +330,18 @@ def test_grids_reject_non_finite_values(spec):
         _parse_grid(spec, "beta-grid")
 
 
-def test_figure_data_grids():
-    econ = gi.example_iid_economy(horizon=1)
-    rows1 = emit_figure_data(econ, 1)
-    rows2 = emit_figure_data(econ, 2)
+def test_figure_data_grids(tmp_path):
+    # the figure data are the curve commands' default output on the bundled
+    # two-point growth economy
+    def rows(command):
+        path = tmp_path / f"{command}.csv"
+        assert main([command, "--output", str(path)]) == 0
+        header, *lines = path.read_text().splitlines()
+        assert header == "beta,value"
+        return [tuple(float(x) for x in line.split(",")) for line in lines]
+
+    rows1 = rows("bond-curve")
+    rows2 = rows("lucas-curve")
     assert len(rows1) == len(rows2) == 101
     betas = [b for b, _ in rows1]
     assert betas == sorted(betas)

@@ -112,7 +112,7 @@ def test_homogeneous_foc_and_recursion():
 def test_equilibrium_spd_feeds_back_to_market_clearing_consumption():
     econ = gi.example_iid_economy(beta=0.4, horizon=2, rho=0.02).tree_economy()
     market = gi.market_from_homogeneous(econ)
-    agent = AgentSpec.with_static_habit(2.0, 0.02, 0.4, econ.aggregate)
+    agent = AgentSpec(2.0, 0.02, 0.4, econ.aggregate)
     res = solve_consumption(market, agent, tol=1e-12)
     assert np.max(np.abs(res.c.values - econ.aggregate.values)) < 1e-8
 
@@ -124,7 +124,7 @@ def test_market_clearing_consumption_has_zero_foc_residual():
 
     econ = gi.example_iid_economy(beta=0.3, horizon=2, rho=0.01).tree_economy()
     market = gi.market_from_homogeneous(econ)
-    agent = AgentSpec.with_static_habit(2.0, 0.01, 0.3, econ.aggregate)
+    agent = AgentSpec(2.0, 0.01, 0.3, econ.aggregate)
     solved = solve_consumption(market, agent, tol=1e-12)
     exact = SolveResult(econ.aggregate, solved.W, solved.R, solved.utility,
                         solved.foc_residual, solved.iterations, solved.method)
@@ -526,8 +526,9 @@ def test_three_agent_root_finding_fallback():
 
 
 def test_two_agent_root_finding_fallback(monkeypatch):
-    # with tatonnement cut short, the two-agent root finder (brentq on the
-    # first weight) must land on the weights tatonnement reaches
+    # with tatonnement cut short, the root finder (hybr on the log-weight
+    # ratio, one unknown for two agents) must land on the weights
+    # tatonnement reaches
     import habitree.equilibrium as eqm
 
     econ = gi.desk_heterogeneous_economy()
@@ -538,3 +539,39 @@ def test_two_agent_root_finding_fallback(monkeypatch):
     assert res.method == "tatonnement+root"
     assert res.residuals["h_inf"] < 1e-10
     assert np.max(np.abs(np.array(res.lambdas) - np.array(full.lambdas))) < 1e-9
+
+
+def test_one_agent_root_finding_fallback(monkeypatch):
+    # with no tatonnement step, one agent reaches hybr with no unknowns: the
+    # weight stays 1 and the final excess-demand check accepts it
+    import habitree.equilibrium as eqm
+
+    base = gi.example_iid_economy(beta=0.2, horizon=2).tree_economy()
+    hom = homogeneous_spd(base)
+    monkeypatch.setattr(eqm, "MAX_TATONNEMENT", 0)
+    res = heterogeneous_equilibrium(base)
+    assert res.method == "tatonnement+root"
+    assert res.lambdas == (1.0,)
+    assert np.max(np.abs(res.M.values - hom.M.values)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_heterogeneous_equilibrium_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        heterogeneous_equilibrium(gi.desk_heterogeneous_economy(), tol=tol)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_economy_surplus_matches_one_step_habit(beta):
+    # reference: the per-depth eps_k - beta eps_{k-1} that the habit map replaced
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        tree = gi.random_tree(rng, max_depth=4)
+        eps = AdaptedProcess(tree, tree.horizon, rng.uniform(0.5, 2.0, size=tree.n_nodes))
+        econ = EconomySpec(tree, beta, (EconomyAgent(2.0, 0.0, eps),))
+        ref = [eps.at_depth(0).copy()]
+        for k in range(1, tree.horizon + 1):
+            ref.append(eps.at_depth(k) - beta * eps.values[tree.parent[tree.depth_nodes[k]]])
+        assert len(econ.surplus) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(econ.surplus, ref))
+        assert np.array_equal(econ.node_surplus, np.concatenate(ref))

@@ -13,12 +13,13 @@ from habitree import (
     SpdPair,
     complete_market_from_spd,
     intermediate_partitions,
-    payoff_space_basis,
     perturbed_spd,
     project,
     spd_pair,
+    static_habit_matrix,
     validate_market_class,
 )
+from habitree.market import consumption_from_surplus, habit_surplus
 from habitree.tree import cond_expectation_arrays, cond_expectation_on
 
 
@@ -37,7 +38,7 @@ def bond_only_market(tree, rate=0.0):
 def test_basis_bond_only_is_ones():
     tree = EventTree.uniform(1, 3)
     market = bond_only_market(tree, 0.0)
-    [basis] = payoff_space_basis(market, 1)
+    [basis] = market.atom_bases(1)
     assert basis.rank == 1
     assert np.allclose(basis.kept[:, 0], 1.0)
 
@@ -45,13 +46,13 @@ def test_basis_bond_only_is_ones():
 def test_basis_prunes_duplicated_bond():
     market = gi.deterministic_market(2, 0.07)
     for k in (1, 2):
-        for basis in payoff_space_basis(market, k):
+        for basis in market.atom_bases(k):
             assert basis.rank == 1              # the risky asset duplicates the bond
             assert basis.kept_cols == (0,)      # bond kept first
 
 
 def test_basis_binary_market_full_rank(binary_market):
-    [basis] = payoff_space_basis(binary_market, 1)
+    [basis] = binary_market.atom_bases(1)
     assert basis.rank == 2
     assert np.linalg.matrix_rank(basis.full) == 2
 
@@ -60,7 +61,7 @@ def test_basis_binary_market_full_rank(binary_market):
 
 
 def test_project_idempotent(binary_market):
-    [basis] = payoff_space_basis(binary_market, 1)
+    [basis] = binary_market.atom_bases(1)
     x = basis.full @ np.array([0.3, -1.2])
     assert np.allclose(project(binary_market, x, 1), x, atol=1e-12)
 
@@ -365,3 +366,46 @@ def test_interest_must_be_predictable(binary_one_period):
     prices = AdaptedProcess.from_depth_arrays(tree, [np.array([3.5]), np.array([3.0, 4.0])])
     with pytest.raises(Exception):
         MarketSpec(tree, (Asset("s", prices, AdaptedProcess.constant(tree, 0.0)),), r)
+
+
+# -- habit maps -------------------------------------------------------------------
+
+
+def _surplus_loop(tree, habits, c):
+    """The per-depth ancestor_matrix loop habit_surplus replaced (reference)."""
+    anc = tree.ancestor_matrix()
+    s = c.copy()
+    for k in range(1, tree.horizon + 1):
+        nodes = tree.depth_nodes[k]
+        for l in range(k):
+            b = habits[k, l]
+            if b != 0.0:
+                s[nodes] -= b * c[anc[nodes, l]]
+    return s
+
+
+def _consumption_loop(tree, habits, s):
+    """The loop consumption_from_surplus replaced (reference)."""
+    anc = tree.ancestor_matrix()
+    c = s.copy()
+    for k in range(1, tree.horizon + 1):
+        nodes = tree.depth_nodes[k]
+        for l in range(k):
+            b = habits[k, l]
+            if b != 0.0:
+                c[nodes] += b * c[anc[nodes, l]]
+    return c
+
+
+def test_habit_maps_match_ancestor_loops():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        tree = gi.random_tree(rng, max_depth=5)
+        x = rng.uniform(0.5, 2.0, size=tree.n_nodes)
+        for habits in (static_habit_matrix(float(rng.uniform(0.0, 0.9)), tree.horizon),
+                       gi.random_habit_matrix(rng, tree.horizon, beta_max=0.9)):
+            s = habit_surplus(tree, habits, x)
+            assert np.array_equal(s, _surplus_loop(tree, habits, x))
+            c = consumption_from_surplus(tree, habits, x)
+            assert np.array_equal(c, _consumption_loop(tree, habits, x))
+            assert np.allclose(habit_surplus(tree, habits, c), x, rtol=1e-13, atol=0.0)

@@ -48,7 +48,7 @@ def test_utility_two_periods_hand_value():
 
 def test_utility_zero_surplus_pole():
     tree = EventTree.single_path(1)
-    agent = AgentSpec.with_static_habit(2.0, 0.0, 1.0, AdaptedProcess.constant(tree, 1.0))
+    agent = AgentSpec(2.0, 0.0, 1.0, AdaptedProcess.constant(tree, 1.0))
     c = AdaptedProcess.constant(tree, 1.0)  # surplus at period 1 is zero
     assert evaluate_utility(agent, c) == -np.inf
 
@@ -75,7 +75,7 @@ def test_utility_matches_brute_force_path_sum():
 
 def test_utility_gamma_below_one_zero_surplus_ok():
     tree = EventTree.single_path(1)
-    agent = AgentSpec.with_static_habit(0.5, 0.0, 1.0, AdaptedProcess.constant(tree, 1.0))
+    agent = AgentSpec(0.5, 0.0, 1.0, AdaptedProcess.constant(tree, 1.0))
     c = AdaptedProcess.constant(tree, 1.0)
     assert evaluate_utility(agent, c) == pytest.approx(2.0)  # 1^{0.5}/0.5 + 0
 
@@ -452,3 +452,13 @@ def test_incomplete_solve_at_scale():
     endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
     res = solve_consumption(market, AgentSpec(1.5, 0.02, static_habit_matrix(0.2, 7), endow))
     assert res.method == "newton" and res.foc_residual < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_solve_rejects_bad_tolerance(tol, binary_market):
+    agent = AgentSpec(2.0, 0.0, 0.2, AdaptedProcess.constant(binary_market.tree, 1.0))
+    incomplete, other = next(_general_instances())
+    assert binary_market.is_complete() and not incomplete.is_complete()
+    for market, a in ((binary_market, agent), (incomplete, other)):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_consumption(market, a, tol=tol)
