@@ -37,7 +37,7 @@ from .errors import (
 from .estimates import bound_coefficients, check_sandwich
 from .instances import DEFAULT_SEED, example_iid_economy
 from .optimizer import solve_consumption
-from .verify import DEFAULT_MANIFEST, run_suites
+from .verify import DEFAULT_MANIFEST, SUITES, run_suites
 
 COMMANDS = ("spd", "solve", "bounds", "asymptotics", "equilibrium",
             "bond-curve", "lucas-curve", "verify")
@@ -199,7 +199,12 @@ def cmd_verify(config: RunConfig) -> None:
     manifest = dict(DEFAULT_MANIFEST)
     if config.input:
         obj = _read_input(config)
-        manifest = {str(k): int(v) for k, v in obj.get("suites", obj).items()}
+        manifest = obj.get("suites", obj) if isinstance(obj, dict) else obj
+        # bool is an int subclass; a count must be a plain integer
+        if not isinstance(manifest, dict) or not all(
+                name in SUITES and type(n) is int and n >= 0 for name, n in manifest.items()):
+            raise SchemaError("suites", "expected an object mapping suite names to "
+                                        "non-negative integer instance counts")
     report = run_suites(manifest, config.seed)
     _emit(config, hio.to_json_bytes(report))
     if not report["all_passed"]:

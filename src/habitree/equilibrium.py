@@ -27,13 +27,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConditionError, ConvergenceError, SchemaError
-from .market import habit_surplus, perturbed_spd, static_habit_matrix
+from .market import (consumption_from_surplus, habit_adjoint, habit_surplus, perturbed_spd,
+                     static_habit_matrix)
 from .tree import AdaptedProcess, EventTree, cond_expectation_arrays
 
 WEIGHT_TOL = 1e-10          # target sup-norm of the excess demand
 MARGIN_TOL = 1e-10          # strictness margin for existence conditions
 MAX_TATONNEMENT = 500
 MAX_WEIGHT_PASSES = 200     # Newton passes of the weight-equation solve
+FD_STEP = 1e-5              # finite-difference step of beta_sensitivity
 
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
@@ -143,24 +145,29 @@ def homogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     tree = economy.tree
     agent = economy.agents[0]
     beta, g, rho = economy.beta, agent.gamma, agent.rho
-    T = tree.horizon
-    s = economy.surplus
+    s = economy.node_surplus
     surplus_margin = economy.surplus_min
-    foc_margin = math.inf
-    suff_margin = math.inf
     if surplus_margin > 0.0:
-        for k in range(1, T + 1):
-            lhs = s[k - 1] ** (-g)
-            rhs = beta * math.exp(-rho) * cond_expectation_arrays(tree, s[k] ** (-g), k, k - 1)
-            foc_margin = min(foc_margin, float(np.min(lhs - rhs)))
-            suff = s[k] - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][tree.parent_pos(k)]
-            suff_margin = min(suff_margin, float(np.min(suff)))
+        foc_margin = float(np.min(_moment_terms(economy)[:tree.n_upto(tree.horizon - 1)],
+                                  initial=math.inf))      # depths 0..T-1
+        suff = s[1:] - beta ** (1.0 / g) * math.exp(-rho / g) * s[tree.parent[1:]]
+        suff_margin = float(np.min(suff, initial=math.inf))
     else:
         foc_margin = -math.inf
         suff_margin = -math.inf
     holds = surplus_margin > MARGIN_TOL and foc_margin > MARGIN_TOL
     near = holds and min(surplus_margin, foc_margin) <= 100 * MARGIN_TOL
     return ConditionsReport(holds, surplus_margin, foc_margin, suff_margin, near)
+
+
+def _moment_terms(economy: EconomySpec) -> np.ndarray:
+    """s_k^-g - beta e^-rho E[s_{k+1}^-g | G_k] per node (s_T^-g at depth T)
+    for the aggregate surplus s of a one-type economy: the habit adjoint with
+    beta e^-rho on the subdiagonal."""
+    tree = economy.tree
+    agent = economy.agents[0]
+    habits = static_habit_matrix(economy.beta * math.exp(-agent.rho), tree.horizon)
+    return habit_adjoint(tree, habits, economy.node_surplus ** (-agent.gamma))
 
 
 def homogeneous_spd(economy: EconomySpec) -> EquilibriumResult:
@@ -182,19 +189,9 @@ def homogeneous_spd(economy: EconomySpec) -> EquilibriumResult:
     beta, g, rho = economy.beta, agent.gamma, agent.rho
     eps = economy.aggregate
     T = tree.horizon
-    s = economy.surplus
-    spow = [sk ** (-g) for sk in s]
-    denom = float(spow[0][0]) - beta * math.exp(-rho) * float(
-        np.sum(tree.trans_prob[tree.depth_nodes[1]] * spow[1])) if T >= 1 else float(spow[0][0])
-    slices = [np.array([1.0])]
-    for k in range(1, T + 1):
-        if k < T:
-            cont = beta * math.exp(-rho) * cond_expectation_arrays(tree, spow[k + 1], k + 1, k)
-            num = spow[k] - cont
-        else:
-            num = spow[T]
-        slices.append(math.exp(-rho * k) * num / denom)
-    M = AdaptedProcess.from_depth_arrays(tree, slices)
+    num = _moment_terms(economy)
+    discount = np.array([math.exp(-rho * k) for k in range(T + 1)])
+    M = AdaptedProcess(tree, T, discount[tree.depth] * num / num[0])
     if np.any(M.values <= 0.0):
         raise ConditionError("closed-form SPD not strictly positive; conditions violated numerically")
     Mt = perturbed_spd(M, beta)
@@ -216,7 +213,10 @@ def _static_foc_residual(tree: EventTree, Mt: AdaptedProcess, c: AdaptedProcess,
         lhs = s[nodes] ** (-g)
         ratio = Mt.at_depth(k) / Mt.values[parents]
         rhs = math.exp(rho) * ratio * s[parents] ** (-g)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))))
+        gap = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
+        if not math.isfinite(gap):      # a NaN or infinite ratio; max() would drop NaN
+            return math.inf
+        worst = max(worst, gap)
     return worst
 
 
@@ -430,8 +430,8 @@ class SensitivityReport:
 
 def beta_sensitivity(curve: Callable[[float], float], beta_grid: Sequence[float],
                      analytic_derivative: Optional[Callable[[float], float]] = None,
-                     analytic_second: Optional[Callable[[float], float]] = None,
-                     fd_step: float = 1e-5) -> SensitivityReport:
+                     analytic_second: Optional[Callable[[float], float]] = None
+                     ) -> SensitivityReport:
     """Monotonicity/convexity of a beta-curve on a grid, with an optional
     analytic-vs-centered-finite-difference derivative check (relative gap;
     interior points only)."""
@@ -448,7 +448,7 @@ def beta_sensitivity(curve: Callable[[float], float], beta_grid: Sequence[float]
         dpos = all(d > 0.0 for d in dvals)
         gap = 0.0
         for b, d in zip(grid[1:-1], dvals[1:-1]):
-            fd = (curve(b + fd_step) - curve(b - fd_step)) / (2.0 * fd_step)
+            fd = (curve(b + FD_STEP) - curve(b - FD_STEP)) / (2.0 * FD_STEP)
             gap = max(gap, abs(fd - d) / max(abs(d), 1e-300))
     if analytic_second is not None:
         spos = all(analytic_second(b) > 0.0 for b in grid)
@@ -574,7 +574,6 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
     """
     tree = economy.tree
     T = tree.horizon
-    beta = economy.beta
     lam = np.asarray([float(l) for l in lam])
     if np.any(lam <= 0.0):
         raise ValueError("agent weights must be strictly positive")
@@ -587,28 +586,21 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
         # bracket at some node lies beyond the float range
         raise ConditionError("weight-equation root outside the floating-point range; "
                              "rescale the endowments") from None
-    gtilde = [gt_all[tree.n_upto(k - 1):tree.n_upto(k)] for k in range(T + 1)]
-    g = [None] * (T + 1)
+    static = static_habit_matrix(economy.beta, T)
+    g_all = habit_adjoint(tree, static, gt_all)     # g_k = gtilde_k - beta E[gtilde_{k+1}|G_k]
+    gtilde = [gt_all[nodes] for nodes in tree.depth_nodes]
+    g = [g_all[nodes] for nodes in tree.depth_nodes]
     for k in range(T, -1, -1):
         if stalled[k]:
             raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
-        gt = gtilde[k]
-        if k == T:
-            g[k] = gt
-        else:
-            g[k] = gt - beta * cond_expectation_arrays(tree, gtilde[k + 1], k + 1, k)
         if np.any(g[k] <= 0.0):
             raise ConditionError(
                 f"candidate SPD nonpositive at depth {k}; existence conditions violated")
     consumptions = []
     for i, a in enumerate(economy.agents):
-        surp = [economy.discount_g[i, k] * gtilde[k] ** (-1.0 / a.gamma)
-                * lam[i] ** (1.0 / a.gamma) for k in range(T + 1)]
-        slices = [surp[0]]
-        for k in range(1, T + 1):
-            prev = slices[k - 1][tree.parent_pos(k)]
-            slices.append(beta * prev + surp[k])
-        consumptions.append(AdaptedProcess.from_depth_arrays(tree, slices))
+        surp = economy.discount_g[i][tree.depth] * gt_all ** (-1.0 / a.gamma) \
+            * lam[i] ** (1.0 / a.gamma)
+        consumptions.append(AdaptedProcess(tree, T, consumption_from_surplus(tree, static, surp)))
     p = tree.probabilities()
     h = np.empty(len(economy.agents))
     for i, a in enumerate(economy.agents):

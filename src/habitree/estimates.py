@@ -249,7 +249,6 @@ def check_sandwich(market: MarketSpec, agent: AgentSpec, result: SolveResult,
         coeffs = bound_coefficients(market, agent)
     tree = market.tree
     T = tree.horizon
-    anc = tree.ancestor_matrix()
     c, W = result.c.values, result.W.values
     eps0 = float(agent.endowment.at_depth(0)[0])
     rows = [PeriodBounds(0, "consumption",
@@ -258,10 +257,13 @@ def check_sandwich(market: MarketSpec, agent: AgentSpec, result: SolveResult,
                          coeffs.m[0] * eps0 + coeffs.etap[0])]
     for k in range(1, T + 1):
         nodes = tree.depth_nodes[k]
+        anc = [nodes]           # anc[i]: the depth-(k - i) ancestors
+        for _ in range(k):
+            anc.append(tree.parent[anc[-1]])
         xi_sum = np.zeros(len(nodes))
         alpha_sum = np.zeros(len(nodes))
         for j in range(k):
-            cj = c[anc[nodes, j]]
+            cj = c[anc[k - j]]
             xi_sum += coeffs.xi[(k, j)] * cj
             alpha_sum += coeffs.alpha[(k, j)] * cj
         base = coeffs.m[k] * W[nodes] + xi_sum

@@ -23,6 +23,7 @@ from .optimizer import AgentSpec
 from .tree import AdaptedProcess, EventTree, Partition
 
 DEFAULT_SEED = 987654321
+GENERAL_MARKET_TRIES = 50   # rejection-sampling draws of random_general_market
 
 
 # -- trees ------------------------------------------------------------------
@@ -87,8 +88,7 @@ def _random_sibling_partition(rng: np.random.Generator, kids) -> list:
 
 
 def random_classC_market(rng: np.random.Generator, tree: EventTree,
-                         deterministic_rate: bool = False,
-                         explicit_partitions: bool = True) -> MarketSpec:
+                         deterministic_rate: bool = False) -> MarketSpec:
     """Market whose payoff spaces are exactly the block-measurable claims of
     random intermediate partitions H_k, with the SPD one-period ratios
     H-measurable by construction."""
@@ -163,8 +163,7 @@ def random_classC_market(rng: np.random.Generator, tree: EventTree,
         assets.append(Asset(f"c{j}",
                             AdaptedProcess.from_depth_arrays(tree, price),
                             AdaptedProcess.from_depth_arrays(tree, div)))
-    return MarketSpec(tree, tuple(assets), interest,
-                      classC=tuple(partitions) if explicit_partitions else None)
+    return MarketSpec(tree, tuple(assets), interest, classC=tuple(partitions))
 
 
 def product_tree(f_tree: EventTree, noise_branch: int, rng: np.random.Generator):
@@ -176,8 +175,6 @@ def product_tree(f_tree: EventTree, noise_branch: int, rng: np.random.Generator)
         w = rng.integers(1, 6, size=noise_branch).astype(float)
         noise_probs.append(w / w.sum())
     nodes = [("r", None, 1.0)]
-    layer = {("r",): ("r", 0)}  # product id -> (f id, depth)
-    prod_parent = {"r": None}
     f_of = {"r": 0}
     frontier = [("r", 0)]  # (product id, f node index)
     for k in range(T):
@@ -247,13 +244,12 @@ def random_bound_instance(rng: np.random.Generator):
     return market, agent
 
 
-def random_general_market(rng: np.random.Generator, tree: EventTree,
-                          max_tries: int = 50) -> MarketSpec:
+def random_general_market(rng: np.random.Generator, tree: EventTree) -> MarketSpec:
     """Incomplete market (bond + one asset on a bushier tree) with stochastic
     predictable rates; rejection-sampled until the aggregate SPD is strictly
     positive."""
     T = tree.horizon
-    for _ in range(max_tries):
+    for _ in range(GENERAL_MARKET_TRIES):
         Z = random_positive_spd(rng, tree)
         ratios = spd_edge_ratios(tree, Z)
         r_slices = [np.zeros(1)]

@@ -300,35 +300,55 @@ def _check_habits(habits: np.ndarray, horizon: int) -> np.ndarray:
     return habits
 
 
-def perturbed_spd(M: AdaptedProcess, habits: Union[float, np.ndarray]) -> AdaptedProcess:
-    """Perturbed aggregate SPD.
+def habit_expectations(tree: EventTree, habits: np.ndarray, y: np.ndarray):
+    """The backward habit walk: for k = T-1 down to 0 yields (k, [(beta^(m)_k,
+    E[y_m | G_k]) for m > k with beta^(m)_k != 0], m ascending).  Step k reads
+    y at depth k+1 only, so a caller may fill in y in place as the walk goes."""
+    T = len(habits) - 1
+    nz = habits != 0.0
+    lowest = [int(np.argmax(row)) if row.any() else T + 1 for row in nz]
+    # running[m] = E[y_m | G_k], kept while row m has a nonzero at depth <= k
+    running = {}
+    for k in range(T - 1, -1, -1):
+        running[k + 1] = y[tree.depth_nodes[k + 1]]
+        running = {m: cond_expectation_arrays(tree, v, k + 1, k)
+                   for m, v in running.items() if lowest[m] <= k}
+        yield k, [(habits[m, k], running[m]) for m in range(k + 1, T + 1) if nz[m, k]]
 
-    Computed by the backward recursion
+
+def _habit_walk(tree: EventTree, habits: np.ndarray, y: np.ndarray, out: np.ndarray,
+                sign: float) -> np.ndarray:
+    """out_k = y_k + sign sum_{m>k} beta^(m)_k E[y_m | G_k] for k < T; out may
+    be y itself."""
+    for k, terms in habit_expectations(tree, habits, y):
+        nodes = tree.depth_nodes[k]
+        acc = y[nodes]
+        for b, e in terms:
+            acc = acc + sign * b * e
+        out[nodes] = acc
+    return out
+
+
+def habit_adjoint(tree: EventTree, habits: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_k - sum_{m>k} beta^(m)_k E[x_m | G_k], the adjoint of the habit map.
+    Applied to the marginal utilities e^{-rho k} s_k^{-gamma} it gives the
+    supporting SPD R*; applied to the perturbed SPD it gives M."""
+    return _habit_walk(tree, habits, x, x.copy(), -1.0)
+
+
+def perturbed_spd(M: AdaptedProcess, habits: Union[float, np.ndarray]) -> AdaptedProcess:
+    """Perturbed aggregate SPD, the inverse of :func:`habit_adjoint` applied
+    to M: the backward recursion
     ``Mtilde_k = M_k + sum_{m>k} beta^(m)_k E[Mtilde_m | G_k]``
-    (for static habits this is ``Mtilde_k = M_k + beta E[Mtilde_{k+1}|G_k]``),
-    which unrolls to the habit-chain multi-sum over E[M_l | G_k].
+    (for static habits ``Mtilde_k = M_k + beta E[Mtilde_{k+1}|G_k]``), which
+    unrolls to the habit-chain multi-sum over E[M_l | G_k].
     """
-    tree = M.tree
     T = M.depth
     if np.isscalar(habits):
         habits = static_habit_matrix(float(habits), T)
     habits = _check_habits(habits, T)
-    slices = [M.at_depth(k).copy() for k in range(T + 1)]
-    tilde = [None] * (T + 1)
-    tilde[T] = slices[T]
-    # running[m] holds E[Mtilde_m | G_level] while level walks backward
-    running = {T: tilde[T]}
-    for k in range(T - 1, -1, -1):
-        for m in list(running):
-            running[m] = cond_expectation_arrays(tree, running[m], k + 1, k)
-        acc = slices[k]
-        for m in range(k + 1, T + 1):
-            b = habits[m, k]
-            if b != 0.0:
-                acc = acc + b * running[m]
-        tilde[k] = acc
-        running[k] = tilde[k]
-    return AdaptedProcess.from_depth_arrays(tree, tilde)
+    tilde = M.values.copy()
+    return AdaptedProcess(M.tree, T, _habit_walk(M.tree, habits, tilde, tilde, 1.0))
 
 
 @dataclass

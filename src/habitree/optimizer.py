@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleProblemError, SchemaError
-from .market import (MarketSpec, _check_habits, consumption_from_surplus, habit_surplus,
-                     habit_terms, perturbed_spd, project, static_habit_matrix)
+from .market import (MarketSpec, _check_habits, consumption_from_surplus, habit_adjoint,
+                     habit_surplus, habit_terms, perturbed_spd, project, static_habit_matrix)
 from .tree import AdaptedProcess, cond_expectation_arrays
 
 FOC_TOL = 1e-9
@@ -59,11 +59,16 @@ class AgentSpec:
     endowment: AdaptedProcess
 
     def __post_init__(self):
+        for name in ("gamma", "rho"):
+            if not np.isfinite(getattr(self, name)):
+                raise SchemaError(name, "must be a finite number")
         if self.gamma <= 0.0 or self.gamma == 1.0:
             raise SchemaError("gamma", "power utility needs gamma > 0 and gamma != 1")
         T = self.endowment.tree.horizon
         if self.endowment.depth != T:
             raise SchemaError("endowment", f"must cover depths 0..{T}")
+        if not np.all(np.isfinite(self.endowment.values)):
+            raise SchemaError("endowment", "endowment must be finite")
         if np.any(self.endowment.values < 0.0):
             raise SchemaError("endowment", "endowment must be nonnegative")
         if np.isscalar(self.habits):
@@ -244,30 +249,10 @@ def _phase1_interior(problem: _Problem):
 # -- per-depth maps shared by both routes -------------------------------------------
 
 
-def _habit_adjoint(tree, habits: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_k - sum_{m>k} beta^(m)_k E[x_m | G_k], walked backward one depth at
-    a time.  Applied to the marginal utilities e^{-rho k} s_k^{-gamma} it
-    gives the supporting SPD R*; applied to the perturbed SPD it gives M."""
-    T = tree.horizon
-    out = x.copy()
-    running = {}        # running[m] = E[x_m | G_k] while k walks backward
-    for k in range(T - 1, -1, -1):
-        running[k + 1] = x[tree.depth_nodes[k + 1]]
-        for m in running:
-            running[m] = cond_expectation_arrays(tree, running[m], k + 1, k)
-        acc = x[tree.depth_nodes[k]]
-        for m in range(k + 1, T + 1):
-            b = habits[m, k]
-            if b != 0.0:
-                acc = acc - b * running[m]
-        out[tree.depth_nodes[k]] = acc
-    return out
-
-
 def _supporting_spd(agent: AgentSpec, tree, s: np.ndarray) -> np.ndarray:
     """Positive SPD of the first-order conditions at habit surplus s."""
     phi = np.exp(-agent.rho * tree.depth.astype(float)) * s ** (-agent.gamma)
-    return _habit_adjoint(tree, agent.habits, phi)
+    return habit_adjoint(tree, agent.habits, phi)
 
 
 def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
@@ -290,7 +275,10 @@ def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
         ratio = R[nodes] / R[parents]
         mratio = M[nodes] / M[parents]
         proj = ratio if complete else project(market, ratio, k)
-        worst = max(worst, float(np.max(np.abs(proj - mratio) / (1.0 + np.abs(mratio)))))
+        gap = float(np.max(np.abs(proj - mratio) / (1.0 + np.abs(mratio))))
+        if not np.isfinite(gap):      # a NaN or infinite ratio; max() would drop NaN
+            return np.inf
+        worst = max(worst, gap)
     return worst
 
 

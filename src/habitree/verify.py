@@ -8,7 +8,7 @@ name).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,39 +40,51 @@ class SuiteResult:
     failed: int
     worst: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "instances": self.instances, "passed": self.passed,
-                "failed": self.failed, "worst": float(self.worst)}
-
 
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, sum(ord(c) for c in name), len(name)])
 
 
-def suite_tree_tower(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "tree-tower")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        tree = gen.random_tree(rng)
-        m = tree.horizon
-        X = AdaptedProcess(tree, m, rng.uniform(-10, 10, size=tree.n_nodes))
-        Y = AdaptedProcess(tree, m, rng.uniform(-10, 10, size=tree.n_nodes))
-        gap = 0.0
-        for k in range(m + 1):
-            for j in range(k, m + 1):
-                via_j = cond_expectation_arrays(tree, cond_expectation_arrays(
-                    tree, X.at_depth(m), m, j), j, k)
-                direct = cond_expectation_arrays(tree, X.at_depth(m), m, k)
-                gap = max(gap, float(np.max(np.abs(via_j - direct))))
-        a, b = rng.uniform(-3, 3, size=2)
-        lin = cond_expectation_arrays(tree, a * X.at_depth(m) + b * Y.at_depth(m), m, 0) \
-            - a * cond_expectation_arrays(tree, X.at_depth(m), m, 0) \
-            - b * cond_expectation_arrays(tree, Y.at_depth(m), m, 0)
-        gap = max(gap, float(np.max(np.abs(lin))))
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-12 else (passed, failed + 1)
-    return SuiteResult("tree-tower", count, passed, failed, worst)
+def _suite(name: str, check):
+    """The (seed, count) -> SuiteResult runner of one suite.  `check(rng)`
+    draws one instance and returns (gap, ok); an instance that raises a
+    HabitreeError counts as failed and leaves `worst` unchanged."""
+
+    def run(seed: int, count: int) -> SuiteResult:
+        rng = _rng(seed, name)
+        passed = failed = 0
+        worst = 0.0
+        for _ in range(count):
+            try:
+                gap, ok = check(rng)
+            except HabitreeError:
+                failed += 1
+                continue
+            worst = max(worst, gap)
+            passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
+        return SuiteResult(name, count, passed, failed, worst)
+
+    return run
+
+
+def _tree_tower(rng: np.random.Generator):
+    tree = gen.random_tree(rng)
+    m = tree.horizon
+    X = AdaptedProcess(tree, m, rng.uniform(-10, 10, size=tree.n_nodes))
+    Y = AdaptedProcess(tree, m, rng.uniform(-10, 10, size=tree.n_nodes))
+    gap = 0.0
+    for k in range(m + 1):
+        for j in range(k, m + 1):
+            via_j = cond_expectation_arrays(tree, cond_expectation_arrays(
+                tree, X.at_depth(m), m, j), j, k)
+            direct = cond_expectation_arrays(tree, X.at_depth(m), m, k)
+            gap = max(gap, float(np.max(np.abs(via_j - direct))))
+    a, b = rng.uniform(-3, 3, size=2)
+    lin = cond_expectation_arrays(tree, a * X.at_depth(m) + b * Y.at_depth(m), m, 0) \
+        - a * cond_expectation_arrays(tree, X.at_depth(m), m, 0) \
+        - b * cond_expectation_arrays(tree, Y.at_depth(m), m, 0)
+    gap = max(gap, float(np.max(np.abs(lin))))
+    return gap, gap < 1e-12
 
 
 def _enumerate_chain_weight(habits: np.ndarray, top: int, bottom: int) -> float:
@@ -90,26 +102,20 @@ def _enumerate_chain_weight(habits: np.ndarray, top: int, bottom: int) -> float:
     return total
 
 
-def suite_perturbed_spd(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "perturbed-spd")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        tree = gen.random_tree(rng, max_depth=4)
-        T = tree.horizon
-        M = gen.random_positive_spd(rng, tree)
-        habits = np.tril(rng.uniform(0.0, 0.5, size=(T + 1, T + 1)), k=-1)
-        Mt = perturbed_spd(M, habits)
-        gap = 0.0
-        for k in range(T + 1):
-            direct = M.at_depth(k).copy()
-            for l in range(k + 1, T + 1):
-                w = _enumerate_chain_weight(habits, l, k)
-                direct = direct + w * cond_expectation_arrays(tree, M.at_depth(l), l, k)
-            gap = max(gap, float(np.max(np.abs(direct - Mt.at_depth(k)))))
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-12 else (passed, failed + 1)
-    return SuiteResult("perturbed-spd", count, passed, failed, worst)
+def _perturbed_spd(rng: np.random.Generator):
+    tree = gen.random_tree(rng, max_depth=4)
+    T = tree.horizon
+    M = gen.random_positive_spd(rng, tree)
+    habits = np.tril(rng.uniform(0.0, 0.5, size=(T + 1, T + 1)), k=-1)
+    Mt = perturbed_spd(M, habits)
+    gap = 0.0
+    for k in range(T + 1):
+        direct = M.at_depth(k).copy()
+        for l in range(k + 1, T + 1):
+            w = _enumerate_chain_weight(habits, l, k)
+            direct = direct + w * cond_expectation_arrays(tree, M.at_depth(l), l, k)
+        gap = max(gap, float(np.max(np.abs(direct - Mt.at_depth(k)))))
+    return gap, gap < 1e-12
 
 
 def _random_market_mixed(rng: np.random.Generator):
@@ -121,121 +127,78 @@ def _random_market_mixed(rng: np.random.Generator):
     return gen.random_general_market(rng, gen.random_tree(rng, max_children=3, min_depth=2))
 
 
-def suite_spd_pricing(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "spd-pricing")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        market = _random_market_mixed(rng)
-        tree = market.tree
-        M = market.spd
-        gap = 0.0
-        for k in range(1, tree.horizon + 1):
-            tp = tree.trans_prob[tree.depth_nodes[k]]
-            mk = M.at_depth(k)
-            payoffs = [(1.0 + market.interest.at_depth(k), np.ones(len(tree.depth_nodes[k - 1])))]
-            for a in market.assets:
-                payoffs.append((a.prices.at_depth(k) + a.dividends.at_depth(k),
-                                a.prices.at_depth(k - 1)))
-            for pay, price in payoffs:
-                lhs = price * M.at_depth(k - 1)
-                rhs = tree.sibling_sum(k, tp * pay * mk)
-                gap = max(gap, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
-            gap = max(gap, float(np.max(np.abs(project(market, mk, k) - mk))))
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-10 else (passed, failed + 1)
-    return SuiteResult("spd-pricing", count, passed, failed, worst)
+def _spd_pricing(rng: np.random.Generator):
+    market = _random_market_mixed(rng)
+    tree = market.tree
+    M = market.spd
+    gap = 0.0
+    for k in range(1, tree.horizon + 1):
+        tp = tree.trans_prob[tree.depth_nodes[k]]
+        mk = M.at_depth(k)
+        payoffs = [(1.0 + market.interest.at_depth(k), np.ones(len(tree.depth_nodes[k - 1])))]
+        for a in market.assets:
+            payoffs.append((a.prices.at_depth(k) + a.dividends.at_depth(k),
+                            a.prices.at_depth(k - 1)))
+        for pay, price in payoffs:
+            lhs = price * M.at_depth(k - 1)
+            rhs = tree.sibling_sum(k, tp * pay * mk)
+            gap = max(gap, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))))
+        gap = max(gap, float(np.max(np.abs(project(market, mk, k) - mk))))
+    return gap, gap < 1e-10
 
 
-def suite_projection_classC(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "projection-classC")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        market = gen.random_classC_market(rng, gen.random_tree(rng, min_depth=2))
-        tree = market.tree
-        cls = validate_market_class(market)
-        ok = "classC" in cls.labels
-        gap = 0.0 if ok else np.inf
-        if ok:
-            for k in range(1, tree.horizon + 1):
-                part = cls.classC_partitions[k - 1]
-                for _ in range(3):
-                    X = AdaptedProcess(tree, k, rng.uniform(-5, 5, size=tree.n_upto(k)))
-                    direct = project(market, X, k)
-                    blockwise = cond_expectation_on(tree, X, part)
-                    gap = max(gap, float(np.max(np.abs(direct - blockwise))))
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-10 else (passed, failed + 1)
-    return SuiteResult("projection-classC", count, passed, failed, worst)
+def _projection_classC(rng: np.random.Generator):
+    market = gen.random_classC_market(rng, gen.random_tree(rng, min_depth=2))
+    tree = market.tree
+    cls = validate_market_class(market)
+    if "classC" not in cls.labels:
+        return np.inf, False
+    gap = 0.0
+    for k in range(1, tree.horizon + 1):
+        part = cls.classC_partitions[k - 1]
+        for _ in range(3):
+            X = AdaptedProcess(tree, k, rng.uniform(-5, 5, size=tree.n_upto(k)))
+            direct = project(market, X, k)
+            blockwise = cond_expectation_on(tree, X, part)
+            gap = max(gap, float(np.max(np.abs(direct - blockwise))))
+    return gap, gap < 1e-10
 
 
-def suite_oracle(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "oracle-equivalence")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        market = _random_market_mixed(rng)
-        agent = gen.random_agent(rng, market.tree)
-        try:
-            foc = solve_consumption(market, agent)
-            oracle = brute_force_oracle(market, agent)
-        except HabitreeError:
-            failed += 1
-            continue
-        gap_u = abs(foc.utility - oracle.utility)
-        gap_c = float(np.max(np.abs(foc.c.values - oracle.c.values)))
-        worst = max(worst, gap_u)
-        ok = gap_u < 1e-8 and gap_c < 1e-6
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return SuiteResult("oracle-equivalence", count, passed, failed, worst)
+def _oracle(rng: np.random.Generator):
+    market = _random_market_mixed(rng)
+    agent = gen.random_agent(rng, market.tree)
+    foc = solve_consumption(market, agent)
+    oracle = brute_force_oracle(market, agent)
+    gap_u = abs(foc.utility - oracle.utility)
+    gap_c = float(np.max(np.abs(foc.c.values - oracle.c.values)))
+    return gap_u, gap_u < 1e-8 and gap_c < 1e-6
 
 
-def suite_sandwich(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "sandwich-bounds")
-    passed = failed = 0
-    worst = 0.0
-    for i in range(count):
-        market, agent = gen.random_bound_instance(rng)
-        try:
-            # bounds are tight on low-uncertainty instances, so probe them
-            # with a solution well below the slack tolerance
-            result = solve_consumption(market, agent, tol=1e-11)
-            coeffs = bound_coefficients(market, agent)
-            report = check_sandwich(market, agent, result, coeffs)
-        except HabitreeError:
-            failed += 1
-            continue
-        slack = report.min_slack()
-        ident = delta_identity_gap(coeffs)
-        worst = max(worst, max(0.0, -slack), ident)
-        ok = (not report.vacuous) and slack >= -1e-9 and ident < 1e-9
-        passed, failed = (passed + 1, failed) if ok else (passed, failed + 1)
-    return SuiteResult("sandwich-bounds", count, passed, failed, worst)
+def _sandwich(rng: np.random.Generator):
+    market, agent = gen.random_bound_instance(rng)
+    # bounds are tight on low-uncertainty instances, so probe them with a
+    # solution well below the slack tolerance
+    result = solve_consumption(market, agent, tol=1e-11)
+    coeffs = bound_coefficients(market, agent)
+    report = check_sandwich(market, agent, result, coeffs)
+    slack = report.min_slack()
+    ident = delta_identity_gap(coeffs)
+    ok = (not report.vacuous) and slack >= -1e-9 and ident < 1e-9
+    return max(max(0.0, -slack), ident), ok
 
 
-def suite_scaling(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "scaling")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        market = _random_market_mixed(rng)
-        agent = gen.random_agent(rng, market.tree)
-        try:
-            base = solve_consumption(market, agent)
-        except HabitreeError:
-            failed += 1
-            continue
-        gap = 0.0
-        for t in (0.5, 2.0, 10.0):
-            scaled = gen.AgentSpec(agent.gamma, agent.rho, agent.habits.copy(),
-                                   agent.endowment * t)
-            r = solve_consumption(market, scaled)
-            gap = max(gap, float(np.max(np.abs(r.c.values - t * base.c.values)))
-                      / float(np.max(np.abs(base.c.values))) / t)
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-9 else (passed, failed + 1)
-    return SuiteResult("scaling", count, passed, failed, worst)
+def _scaling(rng: np.random.Generator):
+    market = _random_market_mixed(rng)
+    agent = gen.random_agent(rng, market.tree)
+    base = solve_consumption(market, agent)
+    gap = 0.0
+    for t in (0.5, 2.0, 10.0):
+        scaled = gen.AgentSpec(agent.gamma, agent.rho, agent.habits.copy(),
+                               agent.endowment * t)
+        r = solve_consumption(market, scaled)
+        gap = max(gap, float(np.max(np.abs(r.c.values - t * base.c.values)))
+                  / float(np.max(np.abs(base.c.values))) / t)
+    return gap, gap < 1e-9
 
 
 def _random_economy(rng: np.random.Generator) -> EconomySpec:
@@ -252,38 +215,31 @@ def _random_economy(rng: np.random.Generator) -> EconomySpec:
     return EconomySpec(tree, econ.beta, agents)
 
 
-def suite_walras(seed: int, count: int) -> SuiteResult:
-    rng = _rng(seed, "walras")
-    passed = failed = 0
-    worst = 0.0
-    for _ in range(count):
-        economy = _random_economy(rng)
-        if not heterogeneous_conditions(economy).holds:
-            failed += 1
-            continue
-        gap = 0.0
-        for _ in range(3):
-            lam = rng.uniform(0.2, 2.0, size=economy.n_agents)
-            system = excess_demand(economy, lam)
-            gap = max(gap, abs(float(np.dot(lam, system.h))))
-            for t in (0.5, 3.0):
-                scaled = excess_demand(economy, t * lam)
-                gap = max(gap, float(np.max(np.abs(scaled.h - system.h))))
-        worst = max(worst, gap)
-        passed, failed = (passed + 1, failed) if gap < 1e-10 else (passed, failed + 1)
-    return SuiteResult("walras", count, passed, failed, worst)
+def _walras(rng: np.random.Generator):
+    economy = _random_economy(rng)
+    if not heterogeneous_conditions(economy).holds:
+        return 0.0, False
+    gap = 0.0
+    for _ in range(3):
+        lam = rng.uniform(0.2, 2.0, size=economy.n_agents)
+        system = excess_demand(economy, lam)
+        gap = max(gap, abs(float(np.dot(lam, system.h))))
+        for t in (0.5, 3.0):
+            scaled = excess_demand(economy, t * lam)
+            gap = max(gap, float(np.max(np.abs(scaled.h - system.h))))
+    return gap, gap < 1e-10
 
 
-SUITES = {
-    "tree-tower": suite_tree_tower,
-    "perturbed-spd": suite_perturbed_spd,
-    "spd-pricing": suite_spd_pricing,
-    "projection-classC": suite_projection_classC,
-    "oracle-equivalence": suite_oracle,
-    "sandwich-bounds": suite_sandwich,
-    "scaling": suite_scaling,
-    "walras": suite_walras,
-}
+SUITES = {name: _suite(name, check) for name, check in (
+    ("tree-tower", _tree_tower),
+    ("perturbed-spd", _perturbed_spd),
+    ("spd-pricing", _spd_pricing),
+    ("projection-classC", _projection_classC),
+    ("oracle-equivalence", _oracle),
+    ("sandwich-bounds", _sandwich),
+    ("scaling", _scaling),
+    ("walras", _walras),
+)}
 
 
 def run_suites(manifest: dict, seed: int) -> dict:
@@ -295,6 +251,6 @@ def run_suites(manifest: dict, seed: int) -> dict:
     results = [SUITES[n](seed, int(manifest[n])) for n in names]
     return {
         "seed": seed,
-        "suites": [r.to_dict() for r in results],
+        "suites": [asdict(r) for r in results],
         "all_passed": all(r.failed == 0 for r in results),
     }

@@ -304,6 +304,24 @@ def test_cli_verify_small_manifest(tmp_path):
     assert names == sorted(names)
 
 
+@pytest.mark.parametrize("manifest", [
+    {"suites": {"walras": "x"}},
+    ["walras"],
+    {"walras": -3},
+    {"walras": 1.7},
+    {"walras": True},
+    {"suites": {"no-such-suite": 1}},
+], ids=["string-count", "top-level-list", "negative", "float", "bool", "unknown-name"])
+def test_cli_verify_rejects_malformed_manifest(tmp_path, capsys, manifest):
+    path = write_json(tmp_path, "manifest.json", manifest)
+    assert main(["verify", "--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "SchemaError", "field": "suites", "message":
+                               "suites: expected an object mapping suite names to "
+                               "non-negative integer instance counts"}
+
+
 def test_cli_verify_deterministic_given_seed(tmp_path):
     manifest = write_json(tmp_path, "manifest.json", {"suites": {"tree-tower": 2}})
     rc1, out1, _ = run_cli(["verify", "--input", manifest, "--seed", "11"])

@@ -30,6 +30,7 @@ from habitree import (
 )
 from habitree.equilibrium import heterogeneous_conditions
 from habitree.market import present_value
+from habitree.tree import cond_expectation_arrays
 
 
 def example_r(beta):
@@ -575,3 +576,112 @@ def test_economy_surplus_matches_one_step_habit(beta):
         assert len(econ.surplus) == len(ref)
         assert all(np.array_equal(a, b) for a, b in zip(econ.surplus, ref))
         assert np.array_equal(econ.node_surplus, np.concatenate(ref))
+
+
+def _demand_loops(economy, lam, gtilde):
+    """The per-depth g and consumption loops excess_demand replaced
+    (reference): g_k = gtilde_k - beta E[gtilde_{k+1} | G_k], then
+    c_k = beta c_{k-1} + surplus_k per agent."""
+    tree, T, beta = economy.tree, economy.tree.horizon, economy.beta
+    g = [None] * (T + 1)
+    for k in range(T, -1, -1):
+        g[k] = gtilde[k] if k == T else \
+            gtilde[k] - beta * cond_expectation_arrays(tree, gtilde[k + 1], k + 1, k)
+    consumptions = []
+    for i, a in enumerate(economy.agents):
+        surp = [economy.discount_g[i, k] * gtilde[k] ** (-1.0 / a.gamma)
+                * lam[i] ** (1.0 / a.gamma) for k in range(T + 1)]
+        slices = [surp[0]]
+        for k in range(1, T + 1):
+            slices.append(beta * slices[k - 1][tree.parent_pos(k)] + surp[k])
+        consumptions.append(np.concatenate(slices))
+    return g, consumptions
+
+
+def _random_tree_economy(rng, n_agents, beta):
+    """Agents on a random tree whose endowments grow by half per period."""
+    tree = gi.random_tree(rng, max_depth=4)
+    growth = 1.5 ** tree.depth
+    agents = tuple(EconomyAgent(float(rng.choice([0.5, 1.5, 2.0, 3.0])), float(rng.uniform(0, 0.1)),
+                                AdaptedProcess(tree, tree.horizon,
+                                               growth * rng.uniform(1.0, 2.0, size=tree.n_nodes)))
+                   for _ in range(n_agents))
+    return EconomySpec(tree, beta, agents)
+
+
+def test_excess_demand_matches_per_depth_loops():
+    rng = np.random.default_rng(42)
+    economies = [gi.desk_heterogeneous_economy()]
+    economies += [_random_tree_economy(rng, int(rng.integers(2, 4)), beta)
+                  for beta in (0.0, 0.1, 0.3) for _ in range(10)]
+    checked = 0
+    for economy in economies:
+        lam = rng.uniform(0.2, 2.0, size=economy.n_agents)
+        try:
+            system = excess_demand(economy, lam)
+        except ConditionError:
+            continue
+        g, consumptions = _demand_loops(economy, lam, system.gtilde)
+        assert all(np.array_equal(a, b) for a, b in zip(system.g, g))
+        assert all(np.array_equal(c.values, ref)
+                   for c, ref in zip(system.consumptions, consumptions))
+        checked += 1
+    assert checked > 20
+
+
+def _homogeneous_loops(economy):
+    """homogeneous_conditions' per-depth margins and homogeneous_spd's
+    denom/slices code, which the habit adjoint replaced (reference)."""
+    tree, T = economy.tree, economy.tree.horizon
+    a = economy.agents[0]
+    beta, g, rho = economy.beta, a.gamma, a.rho
+    s = economy.surplus
+    foc_margin = suff_margin = math.inf
+    for k in range(1, T + 1):
+        lhs = s[k - 1] ** (-g)
+        rhs = beta * math.exp(-rho) * cond_expectation_arrays(tree, s[k] ** (-g), k, k - 1)
+        foc_margin = min(foc_margin, float(np.min(lhs - rhs)))
+        suff = s[k] - beta ** (1.0 / g) * math.exp(-rho / g) * s[k - 1][tree.parent_pos(k)]
+        suff_margin = min(suff_margin, float(np.min(suff)))
+    spow = [sk ** (-g) for sk in s]
+    denom = float(spow[0][0]) - beta * math.exp(-rho) * float(
+        np.sum(tree.trans_prob[tree.depth_nodes[1]] * spow[1])) if T >= 1 else float(spow[0][0])
+    slices = [np.array([1.0])]
+    for k in range(1, T + 1):
+        if k < T:
+            num = spow[k] - beta * math.exp(-rho) * cond_expectation_arrays(tree, spow[k + 1], k + 1, k)
+        else:
+            num = spow[T]
+        slices.append(math.exp(-rho * k) * num / denom)
+    return foc_margin, suff_margin, np.concatenate(slices)
+
+
+def test_homogeneous_spd_matches_per_depth_loops():
+    rng = np.random.default_rng(43)
+    economies = [gi.example_iid_economy(beta=0.1, horizon=h).tree_economy() for h in (1, 3, 6)]
+    economies += [_random_tree_economy(rng, 1, beta) for beta in (0.0, 0.1, 0.3) for _ in range(10)]
+    checked = 0
+    for economy in economies:
+        foc_margin, suff_margin, M = _homogeneous_loops(economy)
+        report = homogeneous_conditions(economy)
+        assert (report.foc_margin, report.sufficient_margin) == (foc_margin, suff_margin)
+        if report.holds:
+            assert np.array_equal(homogeneous_spd(economy).M.values, M)
+            checked += 1
+    assert checked > 20
+
+
+def test_static_foc_residual_is_infinite_at_a_non_finite_ratio():
+    from habitree.equilibrium import _static_foc_residual
+
+    econ = gi.desk_heterogeneous_economy()
+    res = homogeneous_spd(EconomySpec(econ.tree, econ.beta, (EconomyAgent(
+        2.0, 0.0, econ.aggregate),)))
+    Mt = res.Mtilde.values.copy()
+    assert _static_foc_residual(econ.tree, res.Mtilde, econ.aggregate, econ.beta, 2.0, 0.0) < 1e-12
+    for bad in (math.nan, math.inf):
+        Mt[-1] = bad
+        with np.errstate(invalid="ignore"):
+            assert _static_foc_residual(econ.tree, AdaptedProcess(econ.tree, econ.tree.horizon,
+                                                                  Mt.copy()),
+                                        econ.aggregate, econ.beta, 2.0, 0.0) == math.inf

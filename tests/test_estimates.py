@@ -245,3 +245,35 @@ def test_tightest_node_is_stable_on_solved_rows():
         assert slack[i] <= r.slack + 1e-12 * np.max(np.abs(r.value))
         bump = 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=r.value.shape)
         assert PeriodBounds(r.period, r.quantity, r.lower, r.value * bump, r.upper).tightest() == i
+
+
+def _sandwich_ancestor_sums(tree, coeffs, c, k):
+    """check_sandwich's former ancestor_matrix walk (reference): the xi and
+    alpha sums over depth-j ancestors, j = 0 first."""
+    anc = tree.ancestor_matrix()
+    nodes = tree.depth_nodes[k]
+    xi_sum = np.zeros(len(nodes))
+    alpha_sum = np.zeros(len(nodes))
+    for j in range(k):
+        cj = c[anc[nodes, j]]
+        xi_sum += coeffs.xi[(k, j)] * cj
+        alpha_sum += coeffs.alpha[(k, j)] * cj
+    return xi_sum, alpha_sum
+
+
+def test_sandwich_rows_match_ancestor_matrix_walk():
+    for seed in range(80, 92):
+        market, agent = random_bound_pair(seed)
+        tree = market.tree
+        res = solve_consumption(market, agent, tol=1e-11)
+        coeffs = bound_coefficients(market, agent)
+        report = check_sandwich(market, agent, res, coeffs)
+        c, W = res.c.values, res.W.values
+        for k in range(1, tree.horizon + 1):
+            xi_sum, alpha_sum = _sandwich_ancestor_sums(tree, coeffs, c, k)
+            base = coeffs.m[k] * W[tree.depth_nodes[k]] + xi_sum
+            cons, wealth = report.rows[2 * k - 1], report.rows[2 * k]
+            assert np.array_equal(cons.lower, coeffs.eta[k] + base)
+            assert np.array_equal(cons.upper, coeffs.etap[k] + base)
+            assert np.array_equal(wealth.lower, alpha_sum + coeffs.delta[k])
+            assert np.array_equal(wealth.upper, alpha_sum + coeffs.deltap[k])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import habitree.instances as gi
+import habitree.market as market_mod
 from habitree import (
     AdaptedProcess,
     Asset,
@@ -19,7 +20,8 @@ from habitree import (
     static_habit_matrix,
     validate_market_class,
 )
-from habitree.market import consumption_from_surplus, habit_surplus
+from habitree.market import (consumption_from_surplus, habit_adjoint, habit_expectations,
+                             habit_surplus)
 from habitree.tree import cond_expectation_arrays, cond_expectation_on
 
 
@@ -409,3 +411,91 @@ def test_habit_maps_match_ancestor_loops():
             c = consumption_from_surplus(tree, habits, x)
             assert np.array_equal(c, _consumption_loop(tree, habits, x))
             assert np.allclose(habit_surplus(tree, habits, c), x, rtol=1e-13, atol=0.0)
+
+
+def _perturbed_spd_loop(M, habits):
+    """The per-depth running-dict loop perturbed_spd replaced (reference)."""
+    tree, T = M.tree, M.depth
+    slices = [M.at_depth(k).copy() for k in range(T + 1)]
+    tilde = [None] * (T + 1)
+    tilde[T] = slices[T]
+    running = {T: tilde[T]}
+    for k in range(T - 1, -1, -1):
+        for m in list(running):
+            running[m] = cond_expectation_arrays(tree, running[m], k + 1, k)
+        acc = slices[k]
+        for m in range(k + 1, T + 1):
+            b = habits[m, k]
+            if b != 0.0:
+                acc = acc + b * running[m]
+        tilde[k] = acc
+        running[k] = tilde[k]
+    return np.concatenate(tilde)
+
+
+def _habit_adjoint_loop(tree, habits, x):
+    """The optimizer's running-dict adjoint loop habit_adjoint replaced
+    (reference)."""
+    T = tree.horizon
+    out = x.copy()
+    running = {}
+    for k in range(T - 1, -1, -1):
+        running[k + 1] = x[tree.depth_nodes[k + 1]]
+        for m in running:
+            running[m] = cond_expectation_arrays(tree, running[m], k + 1, k)
+        acc = x[tree.depth_nodes[k]]
+        for m in range(k + 1, T + 1):
+            b = habits[m, k]
+            if b != 0.0:
+                acc = acc - b * running[m]
+        out[tree.depth_nodes[k]] = acc
+    return out
+
+
+def _three_habit_kinds(rng, T):
+    return (static_habit_matrix(float(rng.uniform(0.0, 0.9)), T),
+            gi.random_habit_matrix(rng, T, beta_max=0.9),
+            np.tril(rng.uniform(0.0, 0.5, size=(T + 1, T + 1)), k=-1))
+
+
+def test_backward_habit_walk_matches_running_loops():
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        tree = gi.random_tree(rng, max_depth=5)
+        M = gi.random_positive_spd(rng, tree)
+        x = rng.uniform(0.5, 2.0, size=tree.n_nodes)
+        for habits in _three_habit_kinds(rng, tree.horizon):
+            Mt = perturbed_spd(M, habits)
+            assert np.array_equal(Mt.values, _perturbed_spd_loop(M, habits))
+            assert np.array_equal(habit_adjoint(tree, habits, x),
+                                  _habit_adjoint_loop(tree, habits, x))
+            # the adjoint undoes the perturbation
+            assert np.allclose(habit_adjoint(tree, habits, Mt.values), M.values,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_habit_expectations_terms_and_pruning(monkeypatch):
+    """Each step lists the nonzero beta^(m)_k with E[y_m | G_k], m ascending;
+    static habits condition each depth once, not O(T^2) times."""
+    rng = np.random.default_rng(55)
+    tree = gi.random_tree(rng, min_depth=3, max_depth=4)
+    T = tree.horizon
+    y = rng.uniform(0.5, 2.0, size=tree.n_nodes)
+    habits = np.tril(rng.uniform(0.1, 0.5, size=(T + 1, T + 1)), k=-1)
+    habits[T, 0] = 0.0
+    for k, terms in habit_expectations(tree, habits, y):
+        ms = [m for m in range(k + 1, T + 1) if habits[m, k] != 0.0]
+        assert [b for b, _ in terms] == [habits[m, k] for m in ms]
+        for (_, e), m in zip(terms, ms):
+            assert np.array_equal(e, cond_expectation_arrays(tree, y[tree.depth_nodes[m]], m, k))
+    calls = []
+    real = market_mod.cond_expectation_arrays
+
+    def counted(tree, values, m, k):
+        calls.append((m, k))
+        return real(tree, values, m, k)
+
+    monkeypatch.setattr(market_mod, "cond_expectation_arrays", counted)
+    for _ in habit_expectations(tree, static_habit_matrix(0.3, T), y):
+        pass
+    assert calls == [(k + 1, k) for k in range(T - 1, -1, -1)]

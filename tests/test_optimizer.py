@@ -20,8 +20,8 @@ from habitree import (
     static_habit_matrix,
 )
 from habitree.errors import ConvergenceError, InfeasibleProblemError
+from habitree.market import habit_adjoint
 from habitree.optimizer import (
-    _habit_adjoint,
     _newton_direction,
     _phase1_interior,
     _Problem,
@@ -319,7 +319,7 @@ def test_closed_form_supporting_spd_is_scaled_spd(seed, gamma, static):
     assert _rel(res.R.values, y * M) < 1e-12
     # the identity behind it: the habit adjoint maps Mtilde back to M
     Mt = perturbed_spd(market.spd, agent.habits).values
-    assert _rel(_habit_adjoint(market.tree, agent.habits, Mt), M) < 1e-12
+    assert _rel(habit_adjoint(market.tree, agent.habits, Mt), M) < 1e-12
 
 
 @pytest.mark.parametrize("seed,gamma,static", CLOSED_FORM_CASES)
@@ -462,3 +462,46 @@ def test_solve_rejects_bad_tolerance(tol, binary_market):
     for market, a in ((binary_market, agent), (incomplete, other)):
         with pytest.raises(ValueError, match="tolerance"):
             solve_consumption(market, a, tol=tol)
+
+
+def test_non_finite_residual_is_not_convergence():
+    # at gamma = 1000 the phase-1 point's R* holds NaN and inf entries; a NaN
+    # per-depth gap once read as 0.0 and Newton stopped after one iteration
+    rng = np.random.default_rng(3)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    agent = AgentSpec(1000.0, 0.02, 0.2, AdaptedProcess.constant(tree, 1.0))
+    with np.errstate(all="ignore"):
+        try:
+            res = solve_consumption(market, agent)
+        except ConvergenceError:
+            return
+        assert foc_residual(market, agent, res) < 1e-9
+
+
+def test_foc_residual_is_infinite_at_a_non_finite_ratio():
+    from habitree.optimizer import _foc_residual
+
+    for market in (gi.random_general_market(np.random.default_rng(4), EventTree.uniform(2, 3)),
+                   gi.deterministic_market(3, 0.05)):
+        R = market.spd.values.copy()
+        assert _foc_residual(market, R) < 1e-12
+        for bad in (np.nan, np.inf):
+            R[-1] = bad
+            with np.errstate(invalid="ignore"):
+                assert _foc_residual(market, R) == np.inf
+
+
+@pytest.mark.parametrize("field,value", [("gamma", np.nan), ("gamma", np.inf), ("rho", np.nan),
+                                         ("rho", -np.inf), ("endowment", np.nan),
+                                         ("endowment", np.inf)])
+def test_agent_rejects_non_finite_numbers(field, value):
+    tree = EventTree.single_path(3)
+    args = {"gamma": 2.0, "rho": 0.05, "endowment": np.ones(4)}
+    if field == "endowment":
+        args["endowment"][2] = value
+    else:
+        args[field] = value
+    with pytest.raises(SchemaError) as info:
+        AgentSpec(args["gamma"], args["rho"], 0.2, AdaptedProcess(tree, 3, args["endowment"]))
+    assert info.value.field == field

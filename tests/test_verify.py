@@ -34,3 +34,29 @@ def test_env_thread_cap_respected_by_cli(tmp_path):
                           capture_output=True)
     assert out1.returncode == out2.returncode == 0
     assert out1.stdout == out2.stdout
+
+
+def test_suite_runner_counts_a_raising_instance_as_failed():
+    from habitree.errors import ConditionError
+    from habitree.verify import _suite
+
+    outcomes = iter([(0.5, True), None, (0.25, False), (0.125, True)])
+
+    def check(rng):
+        out = next(outcomes)
+        if out is None:
+            raise ConditionError("instance rejected")
+        return out
+
+    res = _suite("tree-tower", check)(1, 4)
+    assert (res.name, res.instances, res.passed, res.failed, res.worst) == \
+        ("tree-tower", 4, 2, 2, 0.5)
+
+
+def test_suites_map_names_to_seed_count_runners():
+    import inspect
+
+    for name, run in SUITES.items():
+        assert list(inspect.signature(run).parameters) == ["seed", "count"]
+        res = run(5, 0)
+        assert (res.name, res.instances, res.passed, res.failed, res.worst) == (name, 0, 0, 0, 0.0)
