@@ -20,7 +20,9 @@ and with seeds 1-3.
 `compare` prints one line per run: whether the bytes match, whether the exit
 code and the non-numeric fields (keys, strings, integers such as
 `iterations`, booleans) match, and per top-level numeric field the largest
-absolute difference over the field's largest old magnitude.
+absolute difference over the field's largest old magnitude.  It exits with
+status 1 when a run is on one side only, or when any run's exit code or
+non-numeric fields differ; numeric differences alone leave it at 0.
 """
 
 import hashlib
@@ -128,13 +130,16 @@ def _walk(old, new, path, field, numeric, mismatches):
         mismatches.append(path)
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> bool:
+    """Print the comparison; True when every run is on both sides with the
+    same exit code and the same non-numeric fields."""
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
-    same = 0
+    same, agree = 0, True
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
             print(f"{name}: only in {'new' if name in new else 'old'}")
+            agree = False
             continue
         a, b = old[name], new[name]
         if a["sha256"] == b["sha256"]:
@@ -147,16 +152,18 @@ def compare(old_path: str, new_path: str) -> None:
             # counts as one field named after its stream
             top = None if isinstance(a[stream], dict) else stream
             _walk(a[stream], b[stream], stream, top, numeric, mismatches)
+        agree = agree and a["exit"] == b["exit"] and not mismatches
         exit_ = "same" if a["exit"] == b["exit"] else f"{a['exit']} -> {b['exit']}"
         other = "same" if not mismatches else f"{len(mismatches)} differ, first {mismatches[0]}"
         rel = ", ".join(f"{field} {diff / scale if scale else diff:.1e}"
                         for field, (diff, scale) in sorted(numeric.items()))
         print(f"{name}: bytes differ; exit {exit_}; non-numeric {other}; max rel diff: {rel}")
     print(f"{same} of {len(old.keys() | new.keys())} runs byte-identical")
+    return agree
 
 
 if __name__ == "__main__":
     if sys.argv[1] == "compare":
-        compare(*sys.argv[2:4])
+        sys.exit(0 if compare(*sys.argv[2:4]) else 1)
     else:
         main(*sys.argv[1:3])

@@ -475,7 +475,9 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
             worst = np.max([s[k] ** (-a.gamma) for a in economy.agents], axis=0)
             lhs = beta * cond_expectation_arrays(tree, worst, k, k - 1)
             rhs = np.min([math.exp(-a.rho) * s[k - 1] ** (-a.gamma) for a in economy.agents], axis=0)
-            moment_margin = min(moment_margin, float(np.min(rhs - lhs)))
+            margin = float(np.min(rhs - lhs))
+            # inf - inf from overflowing powers gives NaN, which min() skips
+            moment_margin = min(moment_margin, -math.inf if math.isnan(margin) else margin)
     else:
         moment_margin = -math.inf
     holds = (scale_margin > MARGIN_TOL and surplus_margin > MARGIN_TOL

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import MarketError, SchemaError
 from .tree import (
@@ -30,6 +31,7 @@ from .tree import (
 
 PRUNE_TOL = 1e-10      # relative tolerance for dropping dependent payoff columns
 PRICE_TOL = 1e-10      # pricing-identity tolerance for the aggregate SPD
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -45,6 +47,8 @@ class Asset:
         T = self.prices.tree.horizon
         if self.prices.depth != T or self.dividends.depth != T:
             raise SchemaError("assets", f"{self.name}: prices/dividends must cover depths 0..{T}")
+        if not np.all(np.isfinite(self.prices.values) & np.isfinite(self.dividends.values)):
+            raise SchemaError("assets", f"{self.name}: prices and dividends must be finite")
         if np.any(self.prices.values <= 0.0):
             raise SchemaError("assets.prices", f"{self.name}: prices must be strictly positive")
         if np.any(self.dividends.values < 0.0):
@@ -79,6 +83,21 @@ class AtomBasis:
 
 
 @dataclass
+class BasisGroup:
+    """Payoff bases of the depth-(k-1) atoms that share a child count b and a
+    kept-column set, stacked along axis 0 with the atoms in index order.
+    Positions count within their own depth, as in
+    :meth:`EventTree.child_groups`."""
+
+    atoms: np.ndarray         # (G,) atom positions at depth k-1
+    kids: np.ndarray          # (G, b) child positions at depth k
+    kept_cols: tuple          # the r instruments kept, bond (0) first
+    full: np.ndarray          # (G, b, J) all instrument payoffs, bond column 0
+    cond_probs: np.ndarray    # (G, b)
+    onb: np.ndarray           # (G, b, r)
+
+
+@dataclass
 class MarketSpec:
     """Tree market: assets, predictable nonnegative interest, and optional
     conditioning structure (intermediate partitions H_k, idiosyncratic factor
@@ -90,7 +109,9 @@ class MarketSpec:
     interest: AdaptedProcess
     classC: Optional[tuple] = None      # Partition per depth k=1..T
     idio: Optional[tuple] = None        # Partition per depth k=1..T (F_k)
-    _bases: list = field(init=False, repr=False)
+    _groups: list = field(init=False, repr=False)
+    _complete: bool = field(init=False, repr=False)
+    _views: dict = field(init=False, repr=False)
     _spd: AdaptedProcess = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -99,6 +120,8 @@ class MarketSpec:
         T = tree.horizon
         if self.interest.depth != T:
             raise SchemaError("interest", f"must cover depths 0..{T}")
+        if not np.all(np.isfinite(self.interest.values)):
+            raise SchemaError("interest", "rates must be finite")
         if np.any(self.interest.values < 0.0):
             raise SchemaError("interest", "rates must be nonnegative")
         for k in range(1, T + 1):
@@ -120,39 +143,65 @@ class MarketSpec:
                         raise SchemaError(name, f"partition {k} has depth {part.depth}")
                 if name == "classC_blocks" and not all(p.is_intermediate() for p in part_set):
                     raise SchemaError(name, "blocks must refine the parent atoms")
-        self._bases = [None] + [self._build_bases(k) for k in range(1, T + 1)]
+        self._groups = [None] + [self._build_groups(k) for k in range(1, T + 1)]
+        self._complete = all(len(g.kept_cols) == g.kids.shape[1]
+                             for groups in self._groups[1:] for g in groups)
+        self._views = {}
         self._spd = compute_aggregate_spd(self)
 
     # payoff bases ----------------------------------------------------------
 
-    def _build_bases(self, k: int) -> list:
+    def _build_groups(self, k: int) -> list:
+        """Weighted Gram-Schmidt once per child-count group, then one
+        :class:`BasisGroup` per kept-column set within it."""
         tree = self.tree
-        out = []
         payoffs = np.column_stack([1.0 + self.interest.at_depth(k)]
                                   + [a.prices.at_depth(k) + a.dividends.at_depth(k)
                                      for a in self.assets])
-        for u in tree.depth_nodes[k - 1]:
-            kids = tree.children[int(u)]
-            full = payoffs[kids - tree.n_upto(k - 1)]
-            w = tree.trans_prob[kids]
-            kept_cols, kept, onb = _prune_columns(full, w)
-            out.append(AtomBasis(int(u), kids, w, full, kept, kept_cols, onb))
+        probs = tree.trans_prob[tree.depth_nodes[k]]
+        out = []
+        for atoms, kids in tree.child_groups(k):
+            full, w = payoffs[kids], probs[kids]
+            keep, ortho = _gram_schmidt(full, w)
+            # split off one kept-column set at a time (few sets per group)
+            rest = np.arange(len(atoms))
+            while len(rest):
+                same = np.all(keep[rest] == keep[rest[0]], axis=1)
+                sel, rest = rest[same], rest[~same]
+                cols = np.flatnonzero(keep[sel[0]])
+                out.append(BasisGroup(atoms[sel], kids[sel], tuple(int(j) for j in cols),
+                                      full[sel], w[sel],
+                                      np.ascontiguousarray(ortho[sel][:, :, cols])))
         return out
+
+    def basis_groups(self, k: int) -> list:
+        """The payoff bases of L_k as stacked :class:`BasisGroup` s."""
+        if not 1 <= k <= self.tree.horizon:
+            raise ValueError(f"depth {k} outside 1..{self.tree.horizon}")
+        return self._groups[k]
 
     def atom_bases(self, k: int) -> list:
         """Pruned payoff-space basis of L_k, one :class:`AtomBasis` per
-        depth-(k-1) atom (bond vector first, dependent columns dropped)."""
-        if not 1 <= k <= self.tree.horizon:
-            raise ValueError(f"depth {k} outside 1..{self.tree.horizon}")
-        return self._bases[k]
+        depth-(k-1) atom (bond vector first, dependent columns dropped); a
+        per-atom view of :meth:`basis_groups`, built on first use."""
+        view = self._views.get(k)
+        if view is None:
+            tree = self.tree
+            view = [None] * len(tree.depth_nodes[k - 1])
+            for g in self.basis_groups(k):
+                cols = list(g.kept_cols)
+                for a, kids, w, full, onb in zip(g.atoms, g.kids, g.cond_probs, g.full, g.onb):
+                    view[a] = AtomBasis(tree.n_upto(k - 2) + int(a), tree.n_upto(k - 1) + kids,
+                                        w, full, full[:, cols], g.kept_cols, onb)
+            self._views[k] = view
+        return view
 
     @property
     def spd(self) -> AdaptedProcess:
         return self._spd
 
     def is_complete(self) -> bool:
-        return all(b.rank == len(b.children)
-                   for k in range(1, self.tree.horizon + 1) for b in self._bases[k])
+        return self._complete
 
     def deterministic_rate(self) -> bool:
         for k in range(1, self.tree.horizon + 1):
@@ -162,24 +211,28 @@ class MarketSpec:
         return True
 
 
-def _prune_columns(full: np.ndarray, w: np.ndarray):
-    """Greedy weighted Gram-Schmidt keeping numerically independent columns
-    (bond first) at relative tolerance PRUNE_TOL; also returns the weighted
-    orthonormal basis of the kept span (with one re-orthogonalization pass)."""
-    kept_cols, ortho = [], []
-    for j in range(full.shape[1]):
-        v = full[:, j].astype(float)
-        norm0 = np.sqrt(np.sum(w * v * v))
+def _gram_schmidt(full: np.ndarray, w: np.ndarray):
+    """Greedy weighted Gram-Schmidt on stacked atoms (full (G, b, J), weights
+    w (G, b)), keeping numerically independent columns (bond first) at
+    relative tolerance PRUNE_TOL, with one re-orthogonalization pass.
+    Returns keep (G, J) and the orthonormal vectors (G, b, J), zero in the
+    columns an atom drops: subtracting their zero projection leaves r as it
+    is, so each atom gets the bits of running the loop on its own."""
+    G, b, J = full.shape
+    keep = np.zeros((G, J), dtype=bool)
+    ortho = np.zeros((G, b, J))
+    for j in range(J):
+        v = full[:, :, j]
+        norm0 = np.sqrt((w * v * v).sum(axis=1))
         r = v.copy()
         for _ in range(2):
-            for q in ortho:
-                r -= np.sum(w * q * r) * q
-        norm_r = np.sqrt(np.sum(w * r * r))
-        if norm_r > PRUNE_TOL * norm0:
-            kept_cols.append(j)
-            ortho.append(r / norm_r)
-    onb = np.column_stack(ortho) if ortho else np.zeros((full.shape[0], 0))
-    return tuple(kept_cols), full[:, list(kept_cols)], onb
+            for i in range(j):
+                q = ortho[:, :, i]
+                r -= (w * q * r).sum(axis=1)[:, None] * q
+        norm_r = np.sqrt((w * r * r).sum(axis=1))
+        keep[:, j] = kj = norm_r > PRUNE_TOL * norm0
+        ortho[kj, :, j] = r[kj] / norm_r[kj, None]
+    return keep, ortho
 
 
 def project(market: MarketSpec, X: Union[AdaptedProcess, np.ndarray], k: int) -> np.ndarray:
@@ -199,9 +252,9 @@ def project(market: MarketSpec, X: Union[AdaptedProcess, np.ndarray], k: int) ->
         if target.shape != (len(tree.depth_nodes[k]),):
             raise ValueError("array input must align with depth-k nodes")
     out = np.empty_like(target)
-    for basis in market.atom_bases(k):
-        sel = basis.children - tree.n_upto(k - 1)
-        out[sel] = basis.onb @ (basis.onb.T @ (basis.cond_probs * target[sel]))
+    for g in market.basis_groups(k):
+        coords = np.matmul(g.onb.transpose(0, 2, 1), (g.cond_probs * target[g.kids])[:, :, None])
+        out[g.kids] = np.matmul(g.onb, coords)[:, :, 0]
     return out
 
 
@@ -209,35 +262,51 @@ def compute_aggregate_spd(market: MarketSpec) -> AdaptedProcess:
     """Aggregate state price density: M_0 = 1, every instrument priced at
     every atom, and M_k's restriction inside the payoff span.
 
-    Solved atom by atom going forward: the payoff-span coordinates of M_k on
-    each atom satisfy a Gram moment system; prices of pruned (redundant)
-    instruments are then verified.  Raises MarketError when no solution
-    exists or the SPD vanishes/changes sign.
+    Solved depth by depth going forward: on each atom the payoff-span
+    coordinates of M_k satisfy a moment system, solved by least squares for
+    a whole basis group at once; prices of pruned (redundant) instruments
+    are then verified.  Raises MarketError, naming the first offending atom
+    in index order, when no solution exists or the SPD vanishes/changes
+    sign.
     """
     tree = market.tree
     slices = [np.array([1.0])]
     for k in range(1, tree.horizon + 1):
         prev = slices[k - 1]
+        # instrument prices times M_{k-1}, per depth-(k-1) atom, bond first
+        priced = prev[:, None] * np.column_stack([np.ones(len(prev))]
+                                                 + [a.prices.at_depth(k - 1) for a in market.assets])
         cur = np.empty(len(tree.depth_nodes[k]))
-        for basis in market.atom_bases(k):
-            m_prev = prev[basis.atom - tree.n_upto(k - 2)]
-            prices = np.array([1.0] + [a.prices.value_at(basis.atom) for a in market.assets])
+        gaps = np.empty_like(priced)
+        for g in market.basis_groups(k):
+            target = priced[g.atoms]
+            fullT = g.full.transpose(0, 2, 1)
             # moment system over the orthonormal span coordinates; the
-            # unsquared least-squares solve avoids Gram-conditioning loss
-            A = basis.full.T @ (basis.cond_probs[:, None] * basis.onb)
-            theta, *_ = np.linalg.lstsq(A, prices * m_prev, rcond=None)
-            m_kids = basis.onb @ theta
-            # redundant instruments must be priced consistently, else no SPD
-            implied = basis.full.T @ (basis.cond_probs * m_kids)
-            gaps = np.abs(implied - prices * m_prev)
-            scale = np.maximum(1.0, np.abs(prices * m_prev))
-            if np.any(gaps > PRICE_TOL * scale):
-                bad = int(np.argmax(gaps / scale))
-                raise MarketError(
-                    f"no aggregate SPD: instrument {bad} mispriced at atom "
-                    f"{tree.ids[basis.atom]} depth {k} (gap {gaps[bad]:.3e})")
-            cur[basis.children - tree.n_upto(k - 1)] = m_kids
-        if np.any(cur <= 0.0):
+            # unsquared least-squares solve avoids Gram-conditioning loss.
+            # np.linalg.lstsq takes one matrix; the gufunc under it runs the
+            # same LAPACK gelsd on each matrix of a stack, with its default
+            # rcond, so every atom gets the bits of its own lstsq call.
+            # This private gufunc and its 'ddd->ddid' signature are verified
+            # on numpy 2.4 only, hence the numpy>=2.4 floor in pyproject.toml;
+            # the bit-for-bit SPD test against np.linalg.lstsq guards them
+            A = np.matmul(fullT, g.cond_probs[:, :, None] * g.onb)
+            with np.errstate(all="ignore"):
+                theta = _umath_linalg.lstsq(A, target[:, :, None], EPS * max(A.shape[1:]),
+                                            signature="ddd->ddid")[0]
+            m_kids = np.matmul(g.onb, theta)[:, :, 0]
+            cur[g.kids] = m_kids
+            implied = np.matmul(fullT, (g.cond_probs * m_kids)[:, :, None])[:, :, 0]
+            gaps[g.atoms] = np.abs(implied - target)
+        # redundant instruments must be priced consistently, else no SPD
+        scale = np.maximum(1.0, np.abs(priced))
+        bad = np.flatnonzero(np.any(gaps > PRICE_TOL * scale, axis=1))
+        if len(bad):
+            u = bad[0]
+            j = int(np.argmax(gaps[u] / scale[u]))
+            raise MarketError(
+                f"no aggregate SPD: instrument {j} mispriced at atom "
+                f"{tree.ids[tree.n_upto(k - 2) + u]} depth {k} (gap {gaps[u, j]:.3e})")
+        if not np.all(cur > 0.0):
             raise MarketError(
                 f"aggregate SPD vanishes or changes sign at depth {k}; market rejected")
         slices.append(cur)
@@ -293,6 +362,8 @@ def _check_habits(habits: np.ndarray, horizon: int) -> np.ndarray:
     habits = np.asarray(habits, dtype=float)
     if habits.shape != (horizon + 1, horizon + 1):
         raise SchemaError("beta_matrix", f"expected shape {(horizon + 1, horizon + 1)}")
+    if not np.all(np.isfinite(habits)):
+        raise SchemaError("beta_matrix", "habit coefficients must be finite")
     if np.any(habits < 0.0):
         raise SchemaError("beta_matrix", "habit coefficients must be nonnegative")
     if np.any(np.triu(habits) != 0.0):

@@ -130,27 +130,36 @@ class _Problem:
                                   shape=(n, n))
 
         # wealth coordinates over the orthonormalized payoff bases (same
-        # spans as the pruned raw payoffs, far better conditioned).  Column j
-        # of K holds, at the atom, minus the price of basis vector j (the
-        # dense col loop's np.sum(cond_probs * M * onb[:, j]) / M[atom]), then
-        # the vector itself on the atom's children, which are contiguous.
+        # spans as the pruned raw payoffs, far better conditioned), atom by
+        # atom in node order.  Column j of K holds, at the atom, minus the
+        # price of basis vector j (np.sum(cond_probs * M * onb[:, j]) /
+        # M[atom]), then the vector itself on the atom's children, which are
+        # contiguous.
         M = market.spd.values
-        bases = [b for k in range(1, T + 1) for b in market.atom_bases(k)]
-        onb_rows = [b.onb.T.copy() for b in bases]
-        price = np.concatenate([[]] + [np.sum(b.cond_probs * M[b.children] * v, axis=1) / M[b.atom]
-                                       for b, v in zip(bases, onb_rows)])
-        m = self.n_theta = len(price)
-        rank = [b.rank for b in bases]
-        atom = np.repeat([b.atom for b in bases], rank).astype(np.int64)
-        first = np.repeat([b.children[0] for b in bases], rank).astype(np.int64)
-        height = np.repeat([len(b.children) + 1 for b in bases], rank).astype(np.int64)
+        groups = [(tree.n_upto(k - 2) + g.atoms, tree.n_upto(k - 1) + g.kids, g)
+                  for k in range(1, T + 1) for g in market.basis_groups(k)]
+        rank, first_kid, n_kids = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        for atoms, children, g in groups:
+            rank[atoms], n_kids[atoms] = len(g.kept_cols), children.shape[1]
+            first_kid[atoms] = children[:, 0]
+        m = self.n_theta = int(rank.sum())
+        first_col = np.cumsum(rank) - rank
+        atom = np.repeat(np.arange(n), rank)
+        height = np.repeat(n_kids + 1, rank)
         indptr = np.concatenate([[0], np.cumsum(height)])
         t = np.arange(indptr[-1]) - np.repeat(indptr[:-1], height)    # position in column
         kids = t > 0
-        indices = np.where(kids, np.repeat(first - 1, height) + t, np.repeat(atom, height))
+        indices = np.where(kids, np.repeat(first_kid[atom] - 1, height) + t,
+                           np.repeat(atom, height))
         data = np.empty(len(t))
-        data[indptr[:-1]] = -price
-        data[kids] = np.concatenate([[]] + [v.ravel() for v in onb_rows])
+        for atoms, children, g in groups:
+            _, b, r = g.onb.shape
+            # contiguous rows, so each price sums its b terms as one 1-D sum
+            onb_rows = g.onb.transpose(0, 2, 1).copy()
+            start = indptr[first_col[atoms][:, None] + np.arange(r)]        # (G, r)
+            data[start] = -((g.cond_probs * M[children])[:, None, :] * onb_rows).sum(axis=2) \
+                / M[atoms][:, None]
+            data[start[:, :, None] + 1 + np.arange(b)] = onb_rows
         self.K = sparse.csc_array((data, indices, indptr), shape=(n, m))
         # the wealth map: K without each column's parent-atom entry
         self.Kw = sparse.csc_array((data[kids], indices[kids], indptr - np.arange(m + 1)),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +375,30 @@ def test_main_returns_zero_in_process(tmp_path, iid_input, capsys):
     assert rc == 0
     text = (tmp_path / "out.csv").read_text()
     assert text.startswith("beta,value")
+
+
+DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
+
+
+@pytest.mark.parametrize("change,status", [
+    ({}, 0),
+    ({"solve a.json": {"sha256": "2", "stdout": {"iterations": 3, "c": [1.0, 2.0000001]}}}, 0),
+    ({"solve a.json": {"sha256": "2", "stdout": {"iterations": 4, "c": [1.0, 2.0]}}}, 1),
+    ({"solve a.json": {"sha256": "2", "exit": 2}}, 1),
+    ({"verify": {"sha256": "3", "stdout": "all passed"}}, 1),
+])
+def test_cli_digest_compare_exit_status(tmp_path, change, status):
+    # exit 1 on a run found on one side only, or a differing exit code or
+    # non-numeric field; numeric differences alone exit 0
+    old = {"solve a.json": {"exit": 0, "sha256": "1", "stderr": None,
+                            "stdout": {"iterations": 3, "c": [1.0, 2.0]}}}
+    new = {name: dict(old.get(name, {"exit": 0, "stderr": None}), **run)
+           for name, run in change.items()}
+    new = dict(old, **new)
+    paths = []
+    for name, values in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.values.json")
+        paths[-1].write_text(json.dumps(values))
+    proc = subprocess.run([sys.executable, str(DIGEST), "compare", *map(str, paths)],
+                          capture_output=True, text=True)
+    assert proc.returncode == status, proc.stdout + proc.stderr

@@ -685,3 +685,17 @@ def test_static_foc_residual_is_infinite_at_a_non_finite_ratio():
             assert _static_foc_residual(econ.tree, AdaptedProcess(econ.tree, econ.tree.horizon,
                                                                   Mt.copy()),
                                         econ.aggregate, econ.beta, 2.0, 0.0) == math.inf
+
+
+def test_nan_moment_margin_is_a_failure():
+    # every s^-gamma overflows at endowments x 1e-120, so each per-depth
+    # margin is inf - inf = NaN; folded with min() it once read as inf
+    desk = gi.desk_heterogeneous_economy(gammas=(3.0, 3.0))
+    tree = desk.tree
+    agents = tuple(EconomyAgent(a.gamma, a.rho, AdaptedProcess(tree, tree.horizon,
+                                                               1e-120 * a.endowment.values))
+                   for a in desk.agents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = heterogeneous_conditions(EconomySpec(tree, desk.beta, agents))
+    assert report.foc_margin == -math.inf
+    assert not report.holds

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from habitree import (
     MarketError,
     MarketSpec,
     Partition,
+    SchemaError,
     SpdPair,
     complete_market_from_spd,
     intermediate_partitions,
@@ -177,6 +180,164 @@ def test_spd_rejects_mispriced_redundant_asset(binary_one_period):
     a2 = Asset("s2", AdaptedProcess.from_depth_arrays(tree, [np.array([3.2]), np.array([3.0, 4.0])]), zeros)
     with pytest.raises(MarketError):
         MarketSpec(tree, (a1, a2), AdaptedProcess.constant(tree, 0.0))
+
+
+# -- stacked payoff bases ---------------------------------------------------------
+
+
+def _prune_reference(full, w):
+    """Greedy weighted Gram-Schmidt on one atom, the per-atom loop the stacked
+    bases replace."""
+    kept_cols, ortho = [], []
+    for j in range(full.shape[1]):
+        v = full[:, j].astype(float)
+        norm0 = np.sqrt(np.sum(w * v * v))
+        r = v.copy()
+        for _ in range(2):
+            for q in ortho:
+                r -= np.sum(w * q * r) * q
+        norm_r = np.sqrt(np.sum(w * r * r))
+        if norm_r > market_mod.PRUNE_TOL * norm0:
+            kept_cols.append(j)
+            ortho.append(r / norm_r)
+    onb = np.column_stack(ortho) if ortho else np.zeros((full.shape[0], 0))
+    return tuple(kept_cols), onb
+
+
+def _atoms_reference(tree, assets, interest, k):
+    """(atom, children, cond probs, full payoffs, kept cols, onb) per
+    depth-(k-1) atom, in index order."""
+    payoffs = np.column_stack([1.0 + interest.at_depth(k)]
+                              + [a.prices.at_depth(k) + a.dividends.at_depth(k) for a in assets])
+    for u in tree.depth_nodes[k - 1]:
+        kids = tree.children[int(u)]
+        w, full = tree.trans_prob[kids], payoffs[kids - tree.n_upto(k - 1)]
+        yield (int(u), kids, w, full) + _prune_reference(full, w)
+
+
+def _spd_reference(tree, assets, interest):
+    """The per-atom lstsq loop, raising the same errors as
+    compute_aggregate_spd."""
+    slices = [np.array([1.0])]
+    for k in range(1, tree.horizon + 1):
+        prev = slices[k - 1]
+        cur = np.empty(len(tree.depth_nodes[k]))
+        for u, kids, w, full, _, onb in _atoms_reference(tree, assets, interest, k):
+            target = np.array([1.0] + [a.prices.value_at(u) for a in assets]) \
+                * prev[u - tree.n_upto(k - 2)]
+            theta, *_ = np.linalg.lstsq(full.T @ (w[:, None] * onb), target, rcond=None)
+            m_kids = onb @ theta
+            gaps = np.abs(full.T @ (w * m_kids) - target)
+            scale = np.maximum(1.0, np.abs(target))
+            if np.any(gaps > market_mod.PRICE_TOL * scale):
+                bad = int(np.argmax(gaps / scale))
+                raise MarketError(f"no aggregate SPD: instrument {bad} mispriced at atom "
+                                  f"{tree.ids[u]} depth {k} (gap {gaps[bad]:.3e})")
+            cur[kids - tree.n_upto(k - 1)] = m_kids
+        if np.any(cur <= 0.0):
+            raise MarketError(
+                f"aggregate SPD vanishes or changes sign at depth {k}; market rejected")
+        slices.append(cur)
+    return np.concatenate(slices)
+
+
+def _mixed_rank_markets():
+    """Class-C markets on trees that mix child counts and, inside one child
+    count, kept-column sets (an asset redundant on some atoms only)."""
+    out = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        market = gi.random_classC_market(rng, gi.random_tree(rng, max_depth=3, max_children=4,
+                                                             min_depth=2))
+        groups = [market.basis_groups(k) for k in range(1, market.tree.horizon + 1)]
+        if any(len({g.kids.shape[1] for g in gs}) < len(gs) for gs in groups):
+            out.append(market)
+    assert len(out) >= 5
+    return out
+
+
+def test_stacked_bases_match_per_atom_gram_schmidt_bit_for_bit():
+    for market in _mixed_rank_markets():
+        tree = market.tree
+        for k in range(1, tree.horizon + 1):
+            ref = list(_atoms_reference(tree, market.assets, market.interest, k))
+            seen = 0
+            for g in market.basis_groups(k):
+                assert g.onb.shape == g.kids.shape + (len(g.kept_cols),)
+                for i, a in enumerate(g.atoms):
+                    u, kids, w, full, kept_cols, onb = ref[a]
+                    assert np.array_equal(tree.n_upto(k - 1) + g.kids[i], kids)
+                    assert g.kept_cols == kept_cols
+                    assert g.onb[i].tobytes() == onb.tobytes()
+                    assert g.full[i].tobytes() == full.tobytes()
+                    seen += 1
+            assert seen == len(ref)
+            for basis, (u, kids, w, full, kept_cols, onb) in zip(market.atom_bases(k), ref):
+                assert basis.atom == u and basis.kept_cols == kept_cols
+                assert np.array_equal(basis.children, kids)
+                assert basis.onb.tobytes() == onb.tobytes()
+                assert basis.kept.tobytes() == full[:, list(kept_cols)].tobytes()
+
+
+def test_stacked_project_matches_per_atom_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for market in _mixed_rank_markets():
+        tree = market.tree
+        for k in range(1, tree.horizon + 1):
+            x = rng.normal(size=len(tree.depth_nodes[k]))
+            want = np.empty_like(x)
+            for u, kids, w, full, kept_cols, onb in _atoms_reference(tree, market.assets,
+                                                                     market.interest, k):
+                sel = kids - tree.n_upto(k - 1)
+                want[sel] = onb @ (onb.T @ (w * x[sel]))
+            assert project(market, x, k).tobytes() == want.tobytes()
+
+
+def test_stacked_spd_matches_per_atom_lstsq_bit_for_bit():
+    for market in _mixed_rank_markets():
+        want = _spd_reference(market.tree, market.assets, market.interest)
+        assert market.spd.values.tobytes() == want.tobytes()
+
+
+def _three_atom_market(prices_1, prices_2):
+    """Horizon 2, r = 0, one asset without depth-2 dividends.  The depth-1
+    atoms a and b have three children, c has two, so at depth 2 the
+    two-child group [c] comes before the group [a, b]."""
+    kids = {"r": ("a", "b", "c"), "a": ("a0", "a1", "a2"), "b": ("b0", "b1", "b2"),
+            "c": ("c0", "c1")}
+    edges = [("r", None, 1.0)] + [(kid, u, 1.0 / len(ks)) for u, ks in kids.items() for kid in ks]
+    tree = EventTree.from_edges(edges, 2)
+    prices = AdaptedProcess.from_depth_arrays(tree, [np.array([0.66]), np.array(prices_1),
+                                                     np.array(prices_2)])
+    dividends = AdaptedProcess.from_depth_arrays(
+        tree, [np.zeros(1), np.array([0.1, 0.2, 0.3]), np.zeros(8)])
+    return tree, (Asset("s", prices, dividends),), AdaptedProcess.constant(tree, 0.0)
+
+
+def _raised(tree, assets, interest, build):
+    with pytest.raises(MarketError) as info:
+        build(tree, assets, interest)
+    return str(info.value)
+
+
+def test_mispriced_atom_is_named_in_atom_order():
+    # b and c both misprice a bond-duplicating payoff; b comes first among
+    # the atoms but its group comes second
+    tree, assets, interest = _three_atom_market(
+        [0.5, 0.45, 0.45], [0.4, 0.5, 0.6, 0.5, 0.5, 0.5, 0.5, 0.5])
+    assert [len(a) for a, _ in tree.child_groups(2)] == [1, 2]
+    got = _raised(tree, assets, interest, MarketSpec)
+    assert got == _raised(tree, assets, interest, _spd_reference)
+    assert re.match(r"no aggregate SPD: instrument 1 mispriced at atom b depth 2 ", got)
+
+
+def test_sign_change_names_the_same_depth():
+    # b's asset price exceeds its largest payoff; a and c price consistently
+    tree, assets, interest = _three_atom_market(
+        [0.5, 0.65, 0.5], [0.4, 0.5, 0.6, 0.4, 0.5, 0.6, 0.5, 0.5])
+    got = _raised(tree, assets, interest, MarketSpec)
+    assert got == _raised(tree, assets, interest, _spd_reference)
+    assert "changes sign at depth 2" in got
 
 
 # -- perturbed SPD ----------------------------------------------------------------
@@ -499,3 +660,17 @@ def test_habit_expectations_terms_and_pruning(monkeypatch):
     for _ in habit_expectations(tree, static_habit_matrix(0.3, T), y):
         pass
     assert calls == [(k + 1, k) for k in range(T - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("field", ["prices", "dividends", "interest"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_market_rejects_non_finite_numbers(binary_one_period, field, value):
+    # these once reached LAPACK and came back as "SVD did not converge"
+    tree = binary_one_period
+    data = {"prices": [3.5, 3.0, 4.0], "dividends": [0.0, 0.0, 0.0], "interest": [0.0, 0.0, 0.0]}
+    data[field][2] = value
+    with pytest.raises(SchemaError) as info:
+        asset = Asset("s", AdaptedProcess(tree, 1, np.array(data["prices"])),
+                      AdaptedProcess(tree, 1, np.array(data["dividends"])))
+        MarketSpec(tree, (asset,), AdaptedProcess(tree, 1, np.array(data["interest"])))
+    assert info.value.field == ("interest" if field == "interest" else "assets")

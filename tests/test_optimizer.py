@@ -505,3 +505,18 @@ def test_agent_rejects_non_finite_numbers(field, value):
     with pytest.raises(SchemaError) as info:
         AgentSpec(args["gamma"], args["rho"], 0.2, AdaptedProcess(tree, 3, args["endowment"]))
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("route", ["agent", "perturbed_spd"])
+def test_non_finite_habit_coefficient_is_a_schema_error(route, value):
+    # once solved as a closed form with all-NaN consumption and residual 0.0
+    market = gi.deterministic_market(3, 0.05)
+    habits = static_habit_matrix(0.2, 3)
+    habits[3, 1] = value
+    with pytest.raises(SchemaError) as info:
+        if route == "agent":
+            AgentSpec(2.0, 0.05, habits, AdaptedProcess.constant(market.tree, 1.0))
+        else:
+            perturbed_spd(market.spd, habits)
+    assert info.value.field == "beta_matrix"
