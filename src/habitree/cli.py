@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from typing import Optional
 
 from . import io as hio
@@ -65,22 +66,23 @@ class RunConfig:
 
 
 def _parse_grid(spec: str, field_name: str) -> list:
-    """a:b:step grids (inclusive within half a step) or comma lists."""
+    """a:b:step grids (inclusive within half a step) or comma lists.  A grid
+    is stepped in decimal, so 0:1:0.01 gives exactly the floats i/100."""
     try:
         if ":" in spec:
-            a, b, step = (float(x) for x in spec.split(":"))
+            a, b, step = (Decimal(x) for x in spec.split(":"))
             if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
                 raise ValueError
             n = int(round((b - a) / step))
-            grid = [a + i * step for i in range(n + 1)]
-            if grid[-1] > b + 1e-12:
+            grid = [float(a + i * step) for i in range(n + 1)]
+            if grid[-1] > float(b) + 1e-12:
                 grid.pop()
             return grid
         grid = [float(x) for x in spec.split(",")]
         if not all(map(math.isfinite, grid)):
             raise ValueError
         return grid
-    except ValueError:
+    except (ValueError, InvalidOperation):
         raise SchemaError(field_name, f"cannot parse grid {spec!r}") from None
 
 

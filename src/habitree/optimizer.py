@@ -16,14 +16,17 @@ result's ``method``:
 * incomplete markets -- ``"newton"``: damped Newton on the first-order system
   over the pruned payoff-space wealth coordinates (stationarity of the
   utility in those coordinates is exactly the positive-SPD condition
-  P^L_k[R*_k / R*_{k-1}] = M_k / M_{k-1}), with a phase-1 LP supplying a
-  strictly feasible interior start and a line search that keeps every habit
-  surplus positive.
+  P^L_k[R*_k / R*_{k-1}] = M_k / M_{k-1}), and a line search that keeps
+  every habit surplus positive.  It starts at the endowment (theta = 0)
+  when every habit surplus of the endowment is positive, and otherwise at
+  the point of a phase-1 LP (the only use of scipy.optimize on this
+  route).  Once an iterate meets ``tol`` it takes one more Newton step, so
+  the result sits at roundoff and does not depend on the start.
 
 Either route checks the first-order residual of its result against ``tol``
 and raises ConvergenceError when it is not met; Newton also stops, with the
-same error, on a singular Newton system, a failed line search or
-MAX_NEWTON_ITER iterations.
+same error, on a singular Newton system, a failed line search, a residual
+that stagnates in the quadratic basin or MAX_NEWTON_ITER iterations.
 
 ``brute_force_oracle`` is the independent check: direct concave maximization
 over the same wealth coordinates by log-barrier path following with a generic
@@ -380,11 +383,15 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL
     damped Newton on the first-order system over wealth coordinates
     (``method="newton"``), with the endowment internally normalized to unit
     present value under the aggregate SPD (results rescale exactly by the
-    power-utility scaling property).  Raises ConvergenceError with the
-    residual when the first-order residual is not brought below ``tol``
-    (Newton names its stop: a singular Newton system, a failed line search
-    or MAX_NEWTON_ITER iterations), SchemaError on an identically zero
-    endowment, and ValueError unless 0 < tol < inf.
+    power-utility scaling property).  Newton starts at the endowment when its
+    habit surplus is positive everywhere, else at a phase-1 LP point, and
+    returns the point one Newton step past the first iterate that meets
+    ``tol`` (that iterate itself if the extra step fails or leaves ``tol``).
+    Raises ConvergenceError with the residual when the first-order residual
+    is not brought below ``tol`` (Newton names its stop: a singular Newton
+    system, a failed line search, a stagnated residual or MAX_NEWTON_ITER
+    iterations), SchemaError on an identically zero endowment, and
+    ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -396,27 +403,46 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL
     return _solve_newton(market, agent, tol)
 
 
+def _interior_start(problem: _Problem) -> np.ndarray:
+    """A strictly feasible Newton start: the endowment itself (theta = 0)
+    when every habit surplus of it is positive, else the phase-1 LP's point.
+    The endowment is normalized to unit present value, so the test is
+    scale-free."""
+    if np.min(problem.Lbase) > SURPLUS_FLOOR:
+        return np.zeros(problem.n_theta)
+    return _phase1_interior(problem)
+
+
 def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResult:
-    """Damped Newton over the wealth coordinates (incomplete markets)."""
+    """Damped Newton over the wealth coordinates (incomplete markets).  The
+    first iterate that meets ``tol`` is held while one more Newton step is
+    taken: quadratic convergence puts that step's point at roundoff, where
+    it depends on the problem rather than on the path."""
     M = market.spd.values
     p = market.tree.probabilities()
     pv = float(np.sum(p * M * agent.endowment.values))
     problem = _Problem(market, agent, agent.endowment.values / pv)
 
-    theta = _phase1_interior(problem)
+    theta = _interior_start(problem)
+    met = None                    # (theta, iteration) of the first iterate below tol
     best, stalled = np.inf, 0     # best residual in the quadratic basin
     for it in range(1, MAX_NEWTON_ITER + 1):
+        if met is not None:
+            result = _result_from_theta(problem, theta, pv, it, "newton")
+            if result.foc_residual < tol:
+                return result
+            break
         s = problem.surplus(theta)
         res = _foc_residual_on(market, agent, problem.consumption(theta))
         if res < tol:
-            return _result_from_theta(problem, theta, pv, it, "newton")
+            met = theta, it
         g = problem.grad(s)
         u0 = problem.utility(s)
         basin = float(np.max(np.abs(g))) < 1e-6 * (1.0 + abs(u0))
         if basin:
             # Newton converges quadratically here, so a residual that has
-            # not improved for STALL_STEPS steps sits at roundoff
-            if res < best:
+            # not halved for STALL_STEPS steps sits at roundoff
+            if res < 0.5 * best:
                 best, stalled = res, 0
             else:
                 stalled += 1
@@ -452,6 +478,8 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
     else:
         reason = "iteration limit reached"
         res = _foc_residual_on(market, agent, problem.consumption(theta))
+    if met is not None:
+        return _result_from_theta(problem, met[0], pv, met[1], "newton")
     raise ConvergenceError(f"Newton stopped after {it} iterations ({reason}): "
                            f"first-order residual {res:.3e}", residual=res)
 

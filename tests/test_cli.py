@@ -349,6 +349,13 @@ def test_grids_reject_non_finite_values(spec):
         _parse_grid(spec, "beta-grid")
 
 
+def test_grids_step_in_decimal():
+    from habitree.cli import _parse_grid
+
+    assert _parse_grid("0:1:0.01", "beta-grid") == [i / 100 for i in range(101)]
+    assert _parse_grid("0:0.5:0.05", "beta-grid") == [i / 20 for i in range(11)]
+
+
 def test_figure_data_grids(tmp_path):
     # the figure data are the curve commands' default output on the bundled
     # two-point growth economy

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from habitree import (
 )
 from habitree.errors import ConvergenceError, InfeasibleProblemError
 from habitree.market import habit_adjoint
+import habitree.optimizer as optimizer
 from habitree.optimizer import (
+    _interior_start,
     _newton_direction,
     _phase1_interior,
     _Problem,
@@ -371,6 +375,75 @@ def test_newton_reports_unmet_tolerance():
     # a few steps instead of at MAX_NEWTON_ITER
     assert "stagnated" in message
     assert int(re.search(r"after (\d+) iterations", message).group(1)) <= 20
+
+
+# -- the interior start ----------------------------------------------------------
+
+
+def _incomplete_instance(seed, zero_node=False):
+    """A general market and a static-habit agent; with ``zero_node`` the
+    endowment is 0 at a depth-1 node, so that node's endowment surplus is
+    negative."""
+    rng = np.random.default_rng(seed)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    assert not market.is_complete()
+    vals = rng.uniform(1.0, 2.0, size=tree.n_nodes)
+    if zero_node:
+        vals[tree.depth_nodes[1][0]] = 0.0
+    agent = AgentSpec(2.0, 0.03, static_habit_matrix(0.3, tree.horizon),
+                      AdaptedProcess(tree, tree.horizon, vals))
+    return market, agent
+
+
+def test_lp_start_only_where_the_endowment_surplus_is_not_positive(monkeypatch):
+    calls = []
+
+    def spy(problem):
+        calls.append(problem)
+        return _phase1_interior(problem)
+
+    monkeypatch.setattr(optimizer, "_phase1_interior", spy)
+    positive = _incomplete_instance(66)
+    assert np.min(_Problem(*positive, positive[1].endowment.values).Lbase) > 0.0
+    solve_consumption(*positive)
+    assert calls == []
+
+    market, agent = _incomplete_instance(66, zero_node=True)
+    assert np.min(_Problem(market, agent, agent.endowment.values).Lbase) <= 0.0
+    res = solve_consumption(market, agent)
+    assert len(calls) == 1 and res.method == "newton"
+    oracle = brute_force_oracle(market, agent)
+    assert abs(res.utility - oracle.utility) < 1e-8
+    assert np.max(np.abs(res.c.values - oracle.c.values)) < 1e-6
+
+
+def test_solution_does_not_depend_on_the_start(monkeypatch):
+    rng = np.random.default_rng(66)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    agent = gi.random_agent(rng, tree)
+    assert np.min(_Problem(market, agent, agent.endowment.values).Lbase) > 0.0
+    results = []
+    for start in (_interior_start, _phase1_interior):
+        monkeypatch.setattr(optimizer, "_interior_start", start)
+        results.append(solve_consumption(market, agent))
+    endowment, lp = results
+    assert np.max(np.abs(endowment.c.values - lp.c.values)) <= 1e-13 * np.max(np.abs(lp.c.values))
+    assert endowment.foc_residual < 1e-9 and lp.foc_residual < 1e-9
+
+
+def test_newton_from_the_endowment_imports_no_scipy_optimize():
+    # the phase-1 LP is the Newton route's only use of scipy.optimize
+    code = ("import sys; import numpy as np; import habitree.instances as gi; "
+            "from habitree import solve_consumption; "
+            "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
+            "market = gi.random_general_market(rng, tree); "
+            "assert solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # -- the sparse problem maps (incomplete route and oracle) ---------------------------
