@@ -11,6 +11,7 @@ errors are emitted as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -126,7 +127,7 @@ def cmd_spd(config: RunConfig) -> None:
     market = hio.load_market(obj["market"] if "market" in obj else obj)
     tree = market.tree
     out = {"tree": hio.dump_tree(tree),
-           "spd": {nid: float(market.spd.values[i]) for i, nid in enumerate(tree.ids)}}
+           "spd": dict(zip(tree.ids, market.spd.values.tolist()))}
     _emit(config, hio.to_json_bytes(out))
 
 
@@ -233,7 +234,10 @@ EXIT_CODES = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="habitree",
         description="Event-tree habit-utility optimization, bounds and equilibrium pricing")

@@ -9,14 +9,20 @@ Agent:   {"gamma": f, "rho": f, "beta": f | "beta_matrix": [[...], ...],
 Economy: {"tree": {...}, "beta": f, "agents": [{"gamma", "rho", "endowment"}]}.
 IID:     {"support": [{"x": f, "p": f}, ...], "gamma", "rho", "beta", "horizon"}.
 
-All loaders raise SchemaError naming the offending field.  Dumps are
-deterministic: sorted keys, floats through Python's shortest round-trip repr.
+All loaders raise SchemaError naming the offending field.  Integer fields
+("horizon") reject JSON booleans.  Dumps are byte-deterministic: the bytes of
+``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, that is sorted keys, a
+two-space indent, floats as Python's shortest round-trip ``repr``, the
+literals ``NaN``/``Infinity``/``-Infinity``, and ``\\uXXXX`` escapes for every
+non-ASCII character.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
+from itertools import chain
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -46,15 +52,39 @@ def _need(obj: dict, field: str, kind, where: str):
     val = obj[field]
     if kind is float:
         return _finite(val, f"{where}.{field}" if where else field)
-    if not isinstance(val, kind):
+    # bool is an int subclass; an integer field takes a plain integer
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"{where}.{field}" if where else field,
                           f"expected {kind.__name__}")
     return val
 
 
+def _finite_array(values) -> Optional[np.ndarray]:
+    """values as a float array when every one is a plain float or int (no
+    bool) that is finite as a float; None otherwise."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            arr = np.fromiter(values, float, len(values))
+        except OverflowError:          # an integer beyond the float range
+            return None
+        if np.all(np.isfinite(arr)):
+            return arr
+    return None
+
+
 def load_tree(obj: dict) -> EventTree:
     horizon = _need(obj, "horizon", int, "")
     nodes = _need(obj, "nodes", list, "")
+    try:
+        triples = [(n["id"], n.get("parent"), n["prob"]) for n in nodes]
+    except (TypeError, KeyError, AttributeError):   # not an object, or a field missing
+        triples = None
+    if triples:
+        ids, parents, probs = zip(*triples)
+        if (set(map(type, ids)) == {str} and set(map(type, parents)) <= {str, type(None)}
+                and _finite_array(probs) is not None):
+            return EventTree.from_edges(triples, horizon)
+    # the field-by-field walk names the first malformed node
     triples = []
     for i, n in enumerate(nodes):
         where = f"nodes[{i}]"
@@ -68,12 +98,10 @@ def load_tree(obj: dict) -> EventTree:
 
 
 def dump_tree(tree: EventTree) -> dict:
-    nodes = []
-    for i, nid in enumerate(tree.ids):
-        p = tree.parent[i]
-        nodes.append({"id": nid,
-                      "parent": None if p < 0 else tree.ids[int(p)],
-                      "prob": float(tree.trans_prob[i])})
+    # the root is node 0 and the only node without a parent
+    parents = [None] + [tree.ids[p] for p in tree.parent[1:].tolist()]
+    nodes = [{"id": nid, "parent": p, "prob": q}
+             for nid, p, q in zip(tree.ids, parents, tree.trans_prob.tolist())]
     return {"horizon": tree.horizon, "nodes": nodes}
 
 
@@ -81,20 +109,28 @@ def _node_map_to_process(tree: EventTree, mapping: dict, field: str,
                          depths, default: Optional[float] = None) -> AdaptedProcess:
     vals = np.zeros(tree.n_nodes)
     seen = np.zeros(tree.n_nodes, dtype=bool)
-    for nid, v in mapping.items():
-        i = tree._index.get(nid)
-        if i is None:
-            raise SchemaError(field, f"unknown node id {nid!r}")
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(field, f"value at {nid!r} must be a finite number")
-        try:
-            vals[i] = v
-        except OverflowError:          # an integer beyond the float range
-            vals[i] = math.inf
-        seen[i] = True
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise SchemaError(field, f"value at {tree.ids[int(bad[0])]!r} must be a finite number")
+    idx = list(map(tree._index.get, mapping))
+    known = None if None in idx else _finite_array(mapping.values())
+    if known is not None:
+        vals[idx] = known
+        seen[idx] = True
+    else:
+        # entry by entry: the first unknown id or non-number in input order
+        # is named, else the first non-finite value in node order
+        for nid, v in mapping.items():
+            i = tree._index.get(nid)
+            if i is None:
+                raise SchemaError(field, f"unknown node id {nid!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise SchemaError(field, f"value at {nid!r} must be a finite number")
+            try:
+                vals[i] = v
+            except OverflowError:      # an integer beyond the float range
+                vals[i] = math.inf
+            seen[i] = True
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise SchemaError(field, f"value at {tree.ids[int(bad[0])]!r} must be a finite number")
     # nodes left out: an error or the default at the given depths, 0 elsewhere
     missing = np.flatnonzero(~seen & np.isin(tree.depth, list(depths)))
     if len(missing):
@@ -138,13 +174,12 @@ def load_market(obj: dict) -> MarketSpec:
 def dump_market(market: MarketSpec) -> dict:
     tree = market.tree
     out = dump_tree(market.tree)
-    out["interest"] = {tree.ids[int(n)]: float(market.interest.values[int(n)])
-                       for k in range(1, tree.horizon + 1) for n in tree.depth_nodes[k]}
+    # depths 1..T are the nodes after the root
+    out["interest"] = _process_map(tree, market.interest.values, 1)
     out["assets"] = [{
         "name": a.name,
-        "prices": {nid: float(a.prices.values[i]) for i, nid in enumerate(tree.ids)},
-        "dividends": {tree.ids[int(n)]: float(a.dividends.values[int(n)])
-                      for k in range(1, tree.horizon + 1) for n in tree.depth_nodes[k]},
+        "prices": _process_map(tree, a.prices.values),
+        "dividends": _process_map(tree, a.dividends.values, 1),
     } for a in market.assets]
     for field, parts in (("classC_blocks", market.classC), ("idio_factor", market.idio)):
         if parts is not None:
@@ -207,8 +242,9 @@ def load_iid(obj: dict) -> IIDEconomy:
                       _need(obj, "horizon", int, "iid"))
 
 
-def _process_map(tree: EventTree, values: np.ndarray) -> dict:
-    return {nid: float(values[i]) for i, nid in enumerate(tree.ids)}
+def _process_map(tree: EventTree, values: np.ndarray, first: int = 0) -> dict:
+    """{id: value} over the nodes from index `first` on."""
+    return dict(zip(tree.ids[first:], values[first:].tolist()))
 
 
 def dump_equilibrium(result: EquilibriumResult) -> dict:
@@ -260,9 +296,80 @@ def dump_solve_result(result, tree: EventTree) -> dict:
     }
 
 
-def to_json_bytes(obj: dict) -> bytes:
-    """Canonical JSON encoding: sorted keys, newline-terminated."""
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    """The C encoder for a container of scalars whose items sit at indent
+    `level`: json's own separators for that level, with the newline after
+    the opening and before the closing bracket left out."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * level, True, False, True)
+
+
+def _flat(obj, level: int) -> str:
+    return "".join(_flat_encoder(level)(obj, level))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: non-string keys as their JSON scalar."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _flat(key, 0)
+    return encode_basestring_ascii(key)
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append json.dumps(obj, sort_keys=True, indent=2) at indent `level`
+    to out.  Containers of scalars only, and lists of non-empty such
+    dicts, take one C-encoder pass; only the nesting above them is walked
+    here."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        out.append(_flat(obj, 0))
+        return
+    if not obj:
+        out.append(brackets)
+        return
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if set(map(type, values)) <= _SCALARS:
+        text = _flat(obj, level + 1)
+        out.append(brackets[0] + inner + text[1:-1] + outer + brackets[1])
+        return
+    if (brackets == "[]" and set(map(type, obj)) == {dict} and all(obj)
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS):
+        # one pass at the dicts' item indent gives "[{a,b},<deeper>{c}]";
+        # a raw newline only ever sits in a separator and no scalar ends in
+        # "}", so "},<deeper>{" is exactly the seam between two dicts
+        deeper = inner + "  "
+        body = _flat(obj, level + 2)[2:-2].replace(
+            "}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        out.append("[" + inner + "{" + deeper + body + inner + "}" + outer + "]")
+        return
+    entries = ([(_key(k) + ": ", v) for k, v in sorted(obj.items())] if brackets == "{}"
+               else [("", v) for v in obj])
+    sep = brackets[0] + inner
+    for prefix, value in entries:
+        out.append(sep + prefix)
+        _encode(value, level + 1, out)
+        sep = "," + inner
+    out.append(outer + brackets[1])
+
+
+def to_json_bytes(obj) -> bytes:
+    """Canonical JSON encoding, newline-terminated: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written mostly by
+    json's C encoder, which ``json.dumps`` with an ``indent`` bypasses."""
+    out = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out).encode()
 
 
 def fmt17(x: float) -> str:

@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ class EventTree:
     trans_prob: np.ndarray
     horizon: int
     depth: np.ndarray = field(init=False)
-    children: list = field(init=False)
     depth_nodes: list = field(init=False)
     sibling_slot: np.ndarray = field(init=False)
 
@@ -66,7 +66,8 @@ class EventTree:
         n = len(self.ids)
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.trans_prob = np.asarray(self.trans_prob, dtype=np.float64)
-        if len(set(self.ids)) != n:
+        self._index = {nid: i for i, nid in enumerate(self.ids)}
+        if len(self._index) != n:
             raise SchemaError("nodes.id", "duplicate node ids")
         roots = np.flatnonzero(self.parent < 0)
         if len(roots) != 1 or roots[0] != 0:
@@ -93,8 +94,6 @@ class EventTree:
         if np.any((self.trans_prob <= 0.0) | (self.trans_prob > 1.0)):
             raise SchemaError("nodes.prob", "transition probabilities must lie in (0, 1]")
         n_kids = np.bincount(kid_parent, minlength=n)
-        by_parent = np.argsort(kid_parent, kind="stable") + 1
-        self.children = np.split(by_parent, np.cumsum(n_kids)[:-1])
         if self.horizon != int(depth.max()):
             raise SchemaError("horizon", f"horizon {self.horizon} != deepest node depth {int(depth.max())}")
         short = np.flatnonzero((n_kids == 0) & (depth != self.horizon))
@@ -113,10 +112,18 @@ class EventTree:
         run_start = np.maximum.accumulate(
             np.where(np.diff(self.parent, prepend=-2) != 0, np.arange(n), 0))
         self.sibling_slot = np.arange(n) - run_start
-        self._index = {nid: i for i, nid in enumerate(self.ids)}
         self._groups = {}
         for arr in (self.parent, self.trans_prob, self.depth, self.sibling_slot):
             arr.setflags(write=False)
+
+    @cached_property
+    def children(self) -> list:
+        """Child indices of every node, one array per node in index order
+        (built on first use)."""
+        kid_parent = self.parent[1:]
+        n_kids = np.bincount(kid_parent, minlength=self.n_nodes)
+        by_parent = np.argsort(kid_parent, kind="stable") + 1
+        return np.split(by_parent, np.cumsum(n_kids)[:-1])
 
     # -- construction -------------------------------------------------------
 
@@ -127,11 +134,13 @@ class EventTree:
         Input order is free; nodes are re-sorted breadth-first.
         """
         raw = list(nodes)
-        by_id = {}
-        for nid, pid, prob in raw:
-            if nid in by_id:
-                raise SchemaError("nodes.id", f"duplicate id {nid!r}")
-            by_id[nid] = (pid, float(prob))
+        by_id = {nid: (pid, float(prob)) for nid, pid, prob in raw}
+        if len(by_id) != len(raw):
+            seen = set()
+            for nid, _, _ in raw:
+                if nid in seen:
+                    raise SchemaError("nodes.id", f"duplicate id {nid!r}")
+                seen.add(nid)
         roots = [nid for nid, (pid, _) in by_id.items() if pid is None]
         if len(roots) != 1:
             raise SchemaError("nodes.parent", f"need exactly one root, got {len(roots)}")
@@ -141,23 +150,19 @@ class EventTree:
                 if pid not in by_id:
                     raise SchemaError("nodes.parent", f"unknown parent {pid!r} of {nid!r}")
                 kids.setdefault(pid, []).append(nid)
-        order, frontier = [roots[0]], [roots[0]]
-        while frontier:
-            nxt = []
-            for nid in frontier:
-                nxt.extend(kids.get(nid, []))
-            order.extend(nxt)
-            frontier = nxt
+        # breadth-first, one level per pass: the passes count the depth
+        order, frontier, depth_max = [roots[0]], [roots[0]], 0
+        while True:
+            frontier = [c for nid in frontier for c in kids.get(nid, ())]
+            if not frontier:
+                break
+            order.extend(frontier)
+            depth_max += 1
         if len(order) != len(by_id):
             raise SchemaError("nodes.parent", "cycle or unreachable nodes")
         pos = {nid: i for i, nid in enumerate(order)}
         parent = np.array([-1 if by_id[n][0] is None else pos[by_id[n][0]] for n in order])
         prob = np.array([1.0 if by_id[n][0] is None else by_id[n][1] for n in order])
-        depth_max = 0
-        d = {order[0]: 0}
-        for n in order[1:]:
-            d[n] = d[by_id[n][0]] + 1
-            depth_max = max(depth_max, d[n])
         return cls(tuple(order), parent, prob, horizon if horizon is not None else depth_max)
 
     @classmethod

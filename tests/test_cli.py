@@ -1,15 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import habitree.instances as gi
 from habitree import EventTree, SchemaError, intermediate_partitions, validate_market_class
 from habitree import io as hio
-from habitree.cli import RunConfig, main
+from habitree.cli import RunConfig, build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -107,6 +109,94 @@ def test_schema_errors_name_fields():
     with pytest.raises(SchemaError) as e:
         hio.load_iid({"support": [{"x": 3.0}], "gamma": 2.0, "rho": 0.0, "horizon": 1})
     assert "support[0].p" in str(e.value)
+
+
+@pytest.mark.parametrize("load", [
+    lambda horizon: hio.load_tree(dict(hio.dump_tree(EventTree.single_path(1)), horizon=horizon)),
+    lambda horizon: hio.load_iid({"support": [{"x": 3.0, "p": 1.0}], "gamma": 2.0, "rho": 0.0,
+                                  "horizon": horizon}),
+], ids=["tree", "iid"])
+def test_integer_fields_reject_booleans(load):
+    # bool is an int subclass: `true` once loaded as a one-period horizon
+    with pytest.raises(SchemaError) as info:
+        load(True)
+    assert info.value.field in ("horizon", "iid.horizon")
+    assert str(info.value).endswith("expected int")
+    load(1)
+
+
+# -- loaders: the entry-by-entry fallbacks name the same entry as before ------------
+
+_TREE = EventTree.uniform(2, 2)        # ids r, 0, 1, 0.0, 0.1, 1.0, 1.1
+
+
+def _node_edit(i, key, value):
+    def edit(nodes):
+        if value is KeyError:
+            del nodes[i][key]
+        else:
+            nodes[i][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,field,message", [
+    (_node_edit(2, "id", 7), "nodes[2].id", "expected str"),
+    (_node_edit(3, "parent", 1), "nodes[3].parent", "expected node id or null"),
+    (_node_edit(4, "prob", KeyError), "nodes[4].prob", "missing"),
+    (_node_edit(1, "prob", True), "nodes[1].prob", "expected a finite number"),
+    (_node_edit(1, "prob", 10 ** 400), "nodes[1].prob", "expected a finite number"),
+    (_node_edit(5, "prob", math.nan), "nodes[5].prob", "expected a finite number"),
+    (_node_edit(5, "prob", math.inf), "nodes[5].prob", "expected a finite number"),
+    (lambda nodes: nodes.__setitem__(2, ["x"]), "nodes[2].id", "missing"),
+    (_node_edit(3, "parent", "zz"), "nodes.parent", "unknown parent 'zz' of '0.0'"),
+], ids=["id-int", "parent-int", "prob-missing", "prob-true", "prob-huge", "prob-nan",
+        "prob-inf", "node-not-object", "parent-unknown"])
+def test_load_tree_errors_name_the_node(edit, field, message):
+    doc = hio.dump_tree(_TREE)
+    edit(doc["nodes"])
+    with pytest.raises(SchemaError) as info:
+        hio.load_tree(json.loads(json.dumps(doc)))
+    assert (info.value.field, str(info.value)) == (field, f"{field}: {message}")
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({"zz": 1.0}, "unknown node id 'zz'"),
+    ({"1": True}, "value at '1' must be a finite number"),
+    ({"1": 10 ** 400}, "value at '1' must be a finite number"),
+    ({"0.1": math.nan}, "value at '0.1' must be a finite number"),
+    ({"0.1": math.inf}, "value at '0.1' must be a finite number"),
+    ({"0.1": -math.inf}, "value at '0.1' must be a finite number"),
+    ({"1": "1.0"}, "value at '1' must be a finite number"),
+    ({"1": None}, "value at '1' must be a finite number"),
+    # unknown ids and non-numbers are named in input order, before any NaN
+    ({"0": math.nan, "zz": 1.0}, "unknown node id 'zz'"),
+    # non-finite values are named in node order
+    ({"1.1": math.nan, "0": math.nan}, "value at '0' must be a finite number"),
+], ids=["unknown-id", "true", "huge", "nan", "inf", "-inf", "string", "null",
+        "unknown-after-nan", "nan-node-order"])
+def test_node_map_errors_name_the_entry(entries, message):
+    endowment = {nid: 1.0 for nid in _TREE.ids}
+    endowment.update(entries)
+    agent = {"gamma": 2.0, "rho": 0.0, "beta": 0.2, "endowment": endowment}
+    with pytest.raises(SchemaError) as info:
+        hio.load_agent(json.loads(json.dumps(agent)), _TREE)
+    assert (info.value.field, str(info.value)) == ("agent.endowment",
+                                                   f"agent.endowment: {message}")
+
+
+def test_loaders_accept_numpy_numbers_through_the_fallback():
+    # numpy scalars are not plain floats, so they take the entry-by-entry
+    # walk; the loaded values must equal the plain-float load
+    doc = hio.dump_tree(_TREE)
+    values = {nid: 1.0 + i / 7 for i, nid in enumerate(_TREE.ids)}
+    plain = hio.load_agent({"gamma": 2.0, "rho": 0.0, "beta": 0.2, "endowment": values}, _TREE)
+    wrapped = hio.load_agent({"gamma": 2.0, "rho": 0.0, "beta": 0.2,
+                              "endowment": {k: np.float64(v) for k, v in values.items()}}, _TREE)
+    assert np.array_equal(plain.endowment.values, wrapped.endowment.values)
+    for node in doc["nodes"]:
+        node["prob"] = np.float64(node["prob"])
+    tree = hio.load_tree(doc)
+    assert tree.ids == _TREE.ids and np.array_equal(tree.trans_prob, _TREE.trans_prob)
 
 
 def test_equilibrium_json_round_trip():
@@ -409,3 +499,95 @@ def test_cli_digest_compare_exit_status(tmp_path, change, status):
     proc = subprocess.run([sys.executable, str(DIGEST), "compare", *map(str, paths)],
                           capture_output=True, text=True)
     assert proc.returncode == status, proc.stdout + proc.stderr
+
+
+# -- the encoder writes json.dumps(obj, sort_keys=True, indent=2) byte for byte ------
+
+
+def _reference_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+_strings = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f{}[],: \u00e9\u2603\U0001f600'),
+                             st.characters()), max_size=6)
+_scalars = st.one_of(
+    _strings, st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.5, 1e300, 5e-324]))
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_strings, inner, max_size=4),
+        # lists of {key: scalar} records, written in one pass when none is empty
+        st.lists(st.dictionaries(_strings, _scalars, max_size=3), max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_to_json_bytes_matches_json_dumps(obj):
+    assert hio.to_json_bytes(obj) == _reference_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], [{}], [{}, {"a": 1}], [{"a": 1}, {}], [{"a": 1}, [1], {"b": 2}],
+    [{"a": "},\n    {"}, {"b": -0.0}], {"t": {"u": [1, [2, {"w": math.inf}]]}},
+    {1: {"b": 2}, 2.5: [1], -3: []}, {None: [1]}, {False: {"a": {}}}, {math.inf: [2]},
+    "\u2603", 10 ** 30, math.nan, np.float64(0.1), [np.float64(-0.0), {"x": np.float64(2.5)}],
+], ids=repr)
+def test_to_json_bytes_edge_cases(obj):
+    assert hio.to_json_bytes(obj) == _reference_bytes(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": [object()]}, {"a": {"b": np.int64(1)}}, {1: [], "a": []}, {(1, 2): [1]},
+], ids=["object", "numpy-int", "mixed-keys", "tuple-key"])
+def test_to_json_bytes_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _reference_bytes(obj)
+    with pytest.raises(TypeError):
+        hio.to_json_bytes(obj)
+
+
+def _one_agent_document():
+    doc = _desk_document()
+    doc["economy"]["agents"] = doc["economy"]["agents"][:1]
+    return doc
+
+
+@pytest.mark.parametrize("command,document,extra", [
+    ("spd", None, []),
+    ("solve", None, []),
+    ("bounds", None, []),
+    ("asymptotics", None, ["--eps0-grid", "1e1,1e2,1e3,1e4"]),
+    ("equilibrium", _one_agent_document, []),
+    ("equilibrium", _desk_document, []),
+    ("verify", lambda: {"suites": {"tree-tower": 2, "walras": 1}}, []),
+], ids=["spd", "solve", "bounds", "asymptotics", "equilibrium-1", "equilibrium-N", "verify"])
+def test_cli_outputs_encode_as_json_dumps(tmp_path, market_agent_input, monkeypatch,
+                                          command, document, extra):
+    encoded = []
+    real = hio.to_json_bytes
+
+    def checked(obj):
+        encoded.append(obj)
+        out = real(obj)
+        assert out == _reference_bytes(obj)
+        return out
+
+    monkeypatch.setattr(hio, "to_json_bytes", checked)
+    path = market_agent_input if document is None else write_json(tmp_path, "in.json", document())
+    assert main([command, "--input", path, "--output", str(tmp_path / "out")] + extra) == 0
+    assert len(encoded) == 1
+
+
+def test_parser_is_built_once_and_parses_as_a_fresh_one():
+    assert build_parser() is build_parser()
+    argvs = [["bond-curve", "--beta-grid", "0:1:0.5", "--maturity", "3"], ["bond-curve"],
+             ["asymptotics", "--eps0-grid", "1,2", "--tol", "1e-8"], ["verify", "--seed", "5"],
+             ["solve", "--input", "x.json", "--output", "y.json"], ["asymptotics"]]
+    for argv in argvs + argvs[::-1]:
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv))
