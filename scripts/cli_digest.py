@@ -20,9 +20,12 @@ and with seeds 1-3.
 `compare` prints one line per run: whether the bytes match, whether the exit
 code and the non-numeric fields (keys, strings, integers such as
 `iterations`, booleans) match, and per top-level numeric field the largest
-absolute difference over the field's largest old magnitude.  It exits with
-status 1 when a run is on one side only, or when any run's exit code or
-non-numeric fields differ; numeric differences alone leave it at 0.
+absolute difference over the field's largest old magnitude.  Residual-type
+fields (`foc_residual`, `residuals`, `walras_history` and verify's
+`suites`) sit at roundoff, so they get the largest absolute difference
+instead, marked `abs`.  It exits with status 1 when a run is on one side
+only, or when any run's exit code or non-numeric fields differ; numeric
+differences alone leave it at 0.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ MARKET_KINDS = ("complete", "incomplete", "factor", "factor-det", "small-market"
 ECONOMY_KINDS = ("hetero", "homogeneous")
 SEED, COUNT = 7, 2
 SUMMARY = "# summary: "
+ABSOLUTE = {"foc_residual", "residuals", "walras_history", "suites"}
 
 
 def runs(workdir: Path):
@@ -155,9 +159,10 @@ def compare(old_path: str, new_path: str) -> bool:
         agree = agree and a["exit"] == b["exit"] and not mismatches
         exit_ = "same" if a["exit"] == b["exit"] else f"{a['exit']} -> {b['exit']}"
         other = "same" if not mismatches else f"{len(mismatches)} differ, first {mismatches[0]}"
-        rel = ", ".join(f"{field} {diff / scale if scale else diff:.1e}"
-                        for field, (diff, scale) in sorted(numeric.items()))
-        print(f"{name}: bytes differ; exit {exit_}; non-numeric {other}; max rel diff: {rel}")
+        diffs = ", ".join(f"{field} {diff:.1e} abs" if field in ABSOLUTE or not scale
+                          else f"{field} {diff / scale:.1e}"
+                          for field, (diff, scale) in sorted(numeric.items()))
+        print(f"{name}: bytes differ; exit {exit_}; non-numeric {other}; max diff: {diffs}")
     print(f"{same} of {len(old.keys() | new.keys())} runs byte-identical")
     return agree
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,15 +35,6 @@ MARGIN_TOL = 1e-10          # strictness margin for existence conditions
 MAX_TATONNEMENT = 500
 MAX_WEIGHT_PASSES = 200     # Newton passes of the weight-equation solve
 FD_STEP = 1e-5              # finite-difference step of beta_sensitivity
-
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _pow(x, e) -> np.ndarray:
-    """Elementwise x ** e through libm ``pow``, as Python's float ``**``
-    computes it; numpy's SIMD power can differ in the last bit."""
-    return _libm_pow(x, e).astype(float)
-
 
 @dataclass
 class EconomyAgent:
@@ -75,6 +65,8 @@ class EconomySpec:
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
+        if not math.isfinite(self.beta):
+            raise SchemaError("beta", "must be a finite number")
         if self.beta < 0.0:
             raise SchemaError("beta", "habit coefficient must be nonnegative")
         if not self.agents:
@@ -83,34 +75,26 @@ class EconomySpec:
         for a in self.agents:
             if a.endowment.depth != T or a.endowment.tree is not self.tree:
                 raise SchemaError("agents.endowment", "endowments must live on the economy tree")
-        agg = np.sum([a.endowment.values for a in self.agents], axis=0)
+        self.endowments = np.array([a.endowment.values for a in self.agents])
+        agg = self.endowments.sum(axis=0)
         if np.any(agg <= 0.0):
             raise SchemaError("agents.endowment", "aggregate endowment must be strictly positive")
         self.aggregate = AdaptedProcess(self.tree, T, agg)
         # constants of the weight equation that excess_demand solves at every
-        # node: the aggregate habit surpluses (per depth, and per node in BFS
-        # order), and per agent and depth e^{-rho_i k} and e^{-(rho_i/g_i) k}
+        # node: the aggregate habit surplus per node, the gammas as a column,
+        # and per agent and node e^{-rho_i k} and e^{-(rho_i/g_i) k} (k the depth)
         self.node_surplus = habit_surplus(self.tree, static_habit_matrix(self.beta, T), agg)
-        self.surplus = [self.node_surplus[nodes] for nodes in self.tree.depth_nodes]
         self.surplus_min = float(np.min(self.node_surplus))
+        self.gammas = np.array([[a.gamma] for a in self.agents])
+        depth = self.tree.depth
         self.discount = np.array([[math.exp(-a.rho * k) for k in range(T + 1)]
-                                  for a in self.agents])
+                                  for a in self.agents])[:, depth]
         self.discount_g = np.array([[math.exp(-(a.rho / a.gamma) * k) for k in range(T + 1)]
-                                    for a in self.agents])
+                                    for a in self.agents])[:, depth]
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
-
-    @cached_property
-    def weight_powers(self) -> tuple:
-        """Gammas and weight-equation exponents as columns, then per agent
-        and node rhs^-gamma_i and (N/rhs)^gamma_i: the single-agent bounds
-        on the root before the weight factors (needs positive surpluses)."""
-        gam = np.array([[a.gamma] for a in self.agents])
-        expo = np.concatenate([-1.0 / gam, -1.0 / gam - 1.0])
-        rhs = self.node_surplus
-        return gam, expo, _pow(rhs, -gam), _pow(self.n_agents / rhs, gam)
 
 
 @dataclass
@@ -238,10 +222,15 @@ class IIDEconomy:
         self.support = tuple((float(x), float(p)) for x, p in self.support)
         if not self.support:
             raise SchemaError("support", "empty growth distribution")
+        if not all(math.isfinite(v) for xp in self.support for v in xp):
+            raise SchemaError("support", "growth factors and probabilities must be finite")
         if abs(sum(p for _, p in self.support) - 1.0) > 1e-12:
             raise SchemaError("support", "probabilities must sum to 1")
         if any(p <= 0.0 for _, p in self.support):
             raise SchemaError("support", "probabilities must be positive")
+        for name in ("gamma", "rho", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise SchemaError(name, "must be a finite number")
         if self.gamma <= 0.0 or self.gamma == 1.0:
             raise SchemaError("gamma", "power utility needs gamma > 0 and gamma != 1")
         if self.horizon < 1:
@@ -465,17 +454,16 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     tree = economy.tree
     beta = economy.beta
     eps = economy.aggregate
-    T = tree.horizon
-    s = economy.surplus
     surplus_margin = economy.surplus_min
     scale_margin = float(np.min((1.0 - beta) * eps.values))
     moment_margin = math.inf
     if surplus_margin > 0.0:
-        for k in range(1, T + 1):
-            worst = np.max([s[k] ** (-a.gamma) for a in economy.agents], axis=0)
-            lhs = beta * cond_expectation_arrays(tree, worst, k, k - 1)
-            rhs = np.min([math.exp(-a.rho) * s[k - 1] ** (-a.gamma) for a in economy.agents], axis=0)
-            margin = float(np.min(rhs - lhs))
+        powers = economy.node_surplus ** -economy.gammas
+        worst = powers.max(axis=0)
+        best = (np.array([[math.exp(-a.rho)] for a in economy.agents]) * powers).min(axis=0)
+        for k in range(1, tree.horizon + 1):
+            lhs = beta * cond_expectation_arrays(tree, worst[tree.depth_nodes[k]], k, k - 1)
+            margin = float(np.min(best[tree.depth_nodes[k - 1]] - lhs))
             # inf - inf from overflowing powers gives NaN, which min() skips
             moment_margin = min(moment_margin, -math.inf if math.isnan(margin) else margin)
     else:
@@ -487,46 +475,49 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
                             math.inf, near)
 
 
+_FLOAT_RANGE = "weight-equation root outside the floating-point range; rescale the endowments"
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
-    """gtilde at every node: the unique y > 0 with
-    sum_i lam_i^{1/g_i} e^{-(rho_i/g_i)k} y^{-1/g_i} = rhs (rhs the node's
-    aggregate surplus, k its depth), and a per-depth mask of stalled solves.
+    """gtilde at every node: the unique y > 0 with sum_i coef_i y^{-1/g_i} =
+    rhs, where rhs is the node's aggregate surplus and coef_i =
+    lam_i^{1/g_i} e^{-(rho_i/g_i)k} at depth k; returned with coef (agents x
+    nodes) and a per-depth mask of stalled solves.
 
     The map is strictly decreasing; brackets come from the single-agent
     bounds, refined by safeguarded Newton to 1e-13 relative.  Every node runs
     its own iteration and leaves the active set once it stops, all nodes
-    stepping together; powers go through libm and agent terms are summed in
-    agent order, so each node gets the bits of a scalar solve.
+    stepping together on (agents x nodes) arrays with numpy powers.  A
+    coefficient, bracket or root that is not a finite float, or a bracket or
+    root that is not positive, raises ConditionError.
     """
-    agents = economy.agents
-    N = len(agents)
-    depth = economy.tree.depth
-    gam, expo, lo_pow, hi_pow = economy.weight_powers
-    coef = np.array([lam[i] ** (1.0 / a.gamma) for i, a in enumerate(agents)])[:, None] \
-        * economy.discount_g
-    # rows: the terms of f, then of its derivative, powers of y by expo
-    C = np.concatenate([coef, -coef / gam])[:, depth]
-    scale = (lam[:, None] * economy.discount)[:, depth]
-    lo = (scale * lo_pow).max(axis=0)
-    hi = (scale * hi_pow).max(axis=0)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    gam = economy.gammas
     rhs = economy.node_surplus
+    N = economy.n_agents
+    coef = lam[:, None] ** (1.0 / gam) * economy.discount_g
+    # agent i's term alone equals rhs at lam_i e^{-rho_i k} rhs^{-g_i} and
+    # rhs/N at N^{g_i} times that.  An exponent broadcast along the nodes is
+    # never 2, 0.5 or -1 here: numpy raises those by square, sqrt or
+    # reciprocal, whose bits differ from its power's.
+    single = lam[:, None] * economy.discount * rhs ** -gam
+    lo = single.max(axis=0)
+    hi = (single * N ** gam).max(axis=0)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    if not (np.all(lo > 0.0) and np.all(hi < math.inf) and np.all(coef < math.inf)):
+        raise ConditionError(_FLOAT_RANGE)
+    # rows: the terms of f, then of its derivative, powers of y by expo
+    C = np.concatenate([coef, -coef / gam])
+    expo = np.concatenate([-1.0 / gam, -1.0 / gam - 1.0])
     y = np.sqrt(lo * hi)
     gt = np.full(len(rhs), np.nan)
     active = np.arange(len(rhs))
     # solve to machine precision: small agent weights divide the budget gap,
     # so any slack here caps the attainable excess-demand accuracy
     for _ in range(MAX_WEIGHT_PASSES):
-        terms = C * _pow(y, expo)
-        # agent by agent from agent 0, as the scalar sum: np.sum over the
-        # agent axis may pair terms (it does for one node and 10 agents)
-        fy = terms[0]
-        for i in range(1, N):
-            fy = fy + terms[i]
-        fy = fy - rhs
-        fprime = terms[N]
-        for i in range(N + 1, 2 * N):
-            fprime = fprime + terms[i]
+        terms = C * y ** expo
+        fy = terms[:N].sum(axis=0) - rhs
+        fprime = terms[N:].sum(axis=0)
         solved = np.abs(fy) <= 4e-16 * rhs
         up = fy > 0.0
         lo = np.where(up, y, lo)
@@ -543,19 +534,22 @@ def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
             C = C[:, keep]
             if not len(active):
                 break
+    if np.any((gt <= 0.0) | (gt == math.inf)):     # stalled nodes stay NaN
+        raise ConditionError(_FLOAT_RANGE)
     stalled = np.zeros(economy.tree.horizon + 1, dtype=bool)
-    stalled[depth[active]] = True
-    return gt, stalled
+    stalled[economy.tree.depth[active]] = True
+    return gt, coef, stalled
 
 
 @dataclass
 class DemandSystem:
-    """Candidate (non-normalized) SPD g, perturbed companion gtilde, agent
-    consumptions, and the excess demand at given weights."""
+    """Candidate (non-normalized) SPD g and its perturbed companion gtilde
+    per node, agent consumptions (agents x nodes), and the excess demand at
+    given weights."""
 
-    g: list
-    gtilde: list
-    consumptions: list
+    g: np.ndarray
+    gtilde: np.ndarray
+    consumptions: np.ndarray
     h: np.ndarray
 
 
@@ -565,75 +559,53 @@ def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
     Backward pass: gtilde_k solves the aggregated first-order equation (the
     weight equation) at each depth-k node, g_k = gtilde_k -
     beta E[gtilde_{k+1} | G_k] (g_T = gtilde_T).  The weight equation is
-    solved for every node of the tree at once, bit-identical to a per-node
-    scalar Newton; for k = T down to 0 a stalled solve at depth k raises
-    ConvergenceError before a nonpositive g_k raises ConditionError; a root
-    beyond the float range raises ConditionError.  Forward pass:
-    c^i_k = beta c^i_{k-1} + e^{-(rho_i/g_i) k} gtilde_k^{-1/g_i} lam_i^{1/g_i}.  Then
+    solved for every node of the tree at once; for k = T down to 0 a stalled
+    solve at depth k raises ConvergenceError before a nonpositive g_k raises
+    ConditionError; a coefficient, bracket or root beyond the float range
+    raises ConditionError first.  Forward pass:
+    c^i_k = beta c^i_{k-1} + e^{-(rho_i/g_i) k} lam_i^{1/g_i} gtilde_k^{-1/g_i}.  Then
     h_i = (sum_k E[g_k c^i_k] - sum_k E[g_k eps^i_k]) / lam_i: the scaled
     budget gap, zero for every agent exactly at equilibrium.  Walras' law
-    sum_i lam_i h_i = 0 holds identically.
+    sum_i lam_i h_i = 0 holds identically.  Weights must be positive and
+    finite (ValueError).
     """
     tree = economy.tree
     T = tree.horizon
     lam = np.asarray([float(l) for l in lam])
-    if np.any(lam <= 0.0):
-        raise ValueError("agent weights must be strictly positive")
+    if not np.all((lam > 0.0) & (lam < math.inf)):
+        raise ValueError("agent weights must be strictly positive and finite")
     if economy.surplus_min <= 0.0:
         raise ConditionError("aggregate habit surplus not positive; weight equation unsolvable")
-    try:
-        gt_all, stalled = _weight_equation_roots(economy, lam)
-    except (ValueError, OverflowError):
-        # libm pow met 0 to a negative power or overflowed: the root or its
-        # bracket at some node lies beyond the float range
-        raise ConditionError("weight-equation root outside the floating-point range; "
-                             "rescale the endowments") from None
+    gt, coef, stalled = _weight_equation_roots(economy, lam)
     static = static_habit_matrix(economy.beta, T)
-    g_all = habit_adjoint(tree, static, gt_all)     # g_k = gtilde_k - beta E[gtilde_{k+1}|G_k]
-    gtilde = [gt_all[nodes] for nodes in tree.depth_nodes]
-    g = [g_all[nodes] for nodes in tree.depth_nodes]
+    g = habit_adjoint(tree, static, gt)     # g_k = gtilde_k - beta E[gtilde_{k+1}|G_k]
     for k in range(T, -1, -1):
         if stalled[k]:
             raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
-        if np.any(g[k] <= 0.0):
+        if np.any(g[tree.depth_nodes[k]] <= 0.0):
             raise ConditionError(
                 f"candidate SPD nonpositive at depth {k}; existence conditions violated")
-    consumptions = []
-    for i, a in enumerate(economy.agents):
-        surp = economy.discount_g[i][tree.depth] * gt_all ** (-1.0 / a.gamma) \
-            * lam[i] ** (1.0 / a.gamma)
-        consumptions.append(AdaptedProcess(tree, T, consumption_from_surplus(tree, static, surp)))
-    p = tree.probabilities()
-    h = np.empty(len(economy.agents))
-    for i, a in enumerate(economy.agents):
-        gap = 0.0
-        for k in range(T + 1):
-            nodes = tree.depth_nodes[k]
-            gap += float(np.sum(p[nodes] * g[k]
-                                * (consumptions[i].at_depth(k) - a.endowment.at_depth(k))))
-        h[i] = gap / lam[i]
-    return DemandSystem(g, gtilde, consumptions, h)
+    # agent i's habit surplus is its term coef_i gtilde^{-1/g_i} of the weight equation
+    c = consumption_from_surplus(tree, static, (coef * gt ** (-1.0 / economy.gammas)).T).T
+    h = (c - economy.endowments) @ (tree.probabilities() * g) / lam
+    return DemandSystem(g, gt, c, h)
 
 
 def _result_from_weights(economy: EconomySpec, lam: np.ndarray, system: DemandSystem,
                          walras: tuple, iterations: int, method: str) -> EquilibriumResult:
     tree = economy.tree
-    g0 = float(system.g[0][0])
-    M = AdaptedProcess.from_depth_arrays(tree, [gk / g0 for gk in system.g])
-    Mt = AdaptedProcess.from_depth_arrays(tree, [gk / g0 for gk in system.gtilde])
-    p = tree.probabilities()
-    clearing = float(np.max(np.abs(
-        np.sum([c.values for c in system.consumptions], axis=0) - economy.aggregate.values)))
-    budget = 0.0
-    foc = 0.0
-    for i, a in enumerate(economy.agents):
-        gap = float(np.sum(p * M.values * (system.consumptions[i].values - a.endowment.values)))
-        budget = max(budget, abs(gap))
-        foc = max(foc, _static_foc_residual(tree, Mt, system.consumptions[i],
-                                            economy.beta, a.gamma, a.rho))
+    T = tree.horizon
+    g0 = float(system.g[0])
+    M = AdaptedProcess(tree, T, system.g / g0)
+    Mt = AdaptedProcess(tree, T, system.gtilde / g0)
+    c = system.consumptions
+    clearing = float(np.max(np.abs(c.sum(axis=0) - economy.aggregate.values)))
+    budget = float(np.max(np.abs((c - economy.endowments) @ (tree.probabilities() * M.values))))
+    consumptions = tuple(AdaptedProcess(tree, T, ci) for ci in c)
+    foc = max(_static_foc_residual(tree, Mt, ci, economy.beta, a.gamma, a.rho)
+              for ci, a in zip(consumptions, economy.agents))
     return EquilibriumResult(
-        M=M, Mtilde=Mt, lambdas=tuple(float(l) for l in lam),
-        consumptions=tuple(system.consumptions),
+        M=M, Mtilde=Mt, lambdas=tuple(float(l) for l in lam), consumptions=consumptions,
         residuals={"clearing": clearing, "budget": budget, "foc": foc,
                    "h_inf": float(np.max(np.abs(system.h)))},
         walras_history=walras, iterations=iterations, method=method)

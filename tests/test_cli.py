@@ -501,6 +501,29 @@ def test_cli_digest_compare_exit_status(tmp_path, change, status):
     assert proc.returncode == status, proc.stdout + proc.stderr
 
 
+def test_cli_digest_compare_reports_residuals_as_absolute(tmp_path):
+    run = {"exit": 0, "stderr": None}
+    old = {"equilibrium a.json": dict(run, sha256="1", stdout={
+        "spd": [1.0, 0.5], "walras_history": [-5e-17, 1e-18],
+        "residuals": {"foc": 1e-15, "h_inf": 2e-11}}),
+        "verify": dict(run, sha256="3", stdout={"suites": [{"name": "walras", "worst": 5e-15}]})}
+    new = {"equilibrium a.json": dict(run, sha256="2", stdout={
+        "spd": [1.0, 0.5000000001], "walras_history": [7e-17, 1e-18],
+        "residuals": {"foc": 1e-15, "h_inf": 3e-11}}),
+        "verify": dict(run, sha256="4", stdout={"suites": [{"name": "walras", "worst": 6e-15}]})}
+    paths = []
+    for name, values in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.values.json")
+        paths[-1].write_text(json.dumps(values))
+    proc = subprocess.run([sys.executable, str(DIGEST), "compare", *map(str, paths)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("max diff: residuals 1.0e-11 abs, spd 1.0e-10, "
+                             "walras_history 1.2e-16 abs"), lines[0]
+    assert lines[1].endswith("max diff: suites 1.0e-15 abs"), lines[1]
+
+
 # -- the encoder writes json.dumps(obj, sort_keys=True, indent=2) byte for byte ------
 
 

@@ -330,11 +330,21 @@ def test_weight_equation_solved_to_tolerance():
         s.append(econ.aggregate.at_depth(k) - econ.beta * econ.aggregate.values[tree.parent[nodes]])
     lam = [0.7, 0.3]
     for k in range(tree.horizon + 1):
-        lhs = np.zeros_like(system.gtilde[k])
+        gtilde = system.gtilde[tree.depth_nodes[k]]
+        lhs = np.zeros_like(gtilde)
         for i, a in enumerate(econ.agents):
             lhs += lam[i] ** (1 / a.gamma) * np.exp(-(a.rho / a.gamma) * k) \
-                * system.gtilde[k] ** (-1 / a.gamma)
+                * gtilde ** (-1 / a.gamma)
         assert np.max(np.abs(lhs - s[k]) / s[k]) < 1e-12
+
+
+def _power(x, e):
+    """x ** e for a float x, raised as the source raises its powers: numpy's
+    power on one-element arrays, which gives the bits of the batched power.
+    Python's ``**`` goes through libm, and numpy takes square, sqrt or
+    reciprocal for an exponent of 2.0, 0.5 or -1.0 given as a scalar or
+    broadcast along an axis; both can differ in the last bit."""
+    return float(np.power(np.array([x]), np.array([e]))[0])
 
 
 def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
@@ -343,17 +353,18 @@ def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
     Newton step leaves the bracket and the geometric midpoint is taken."""
     agents = economy.agents
     N = len(agents)
-    coef = [lam[i] ** (1.0 / a.gamma) * math.exp(-(a.rho / a.gamma) * k)
+    coef = [_power(lam[i], 1.0 / a.gamma) * math.exp(-(a.rho / a.gamma) * k)
             for i, a in enumerate(agents)]
-    lo = max(lam[i] * math.exp(-a.rho * k) * rhs ** (-a.gamma) for i, a in enumerate(agents))
-    hi = max(lam[i] * math.exp(-a.rho * k) * (N / rhs) ** a.gamma for i, a in enumerate(agents))
+    single = [lam[i] * math.exp(-a.rho * k) * _power(rhs, -a.gamma) for i, a in enumerate(agents)]
+    lo = max(single)
+    hi = max(b * _power(N, a.gamma) for b, a in zip(single, agents))
     lo, hi = min(lo, hi), max(lo, hi)
 
     def f(y):
-        return sum(c * y ** (-1.0 / a.gamma) for c, a in zip(coef, agents)) - rhs
+        return sum(c * _power(y, -1.0 / a.gamma) for c, a in zip(coef, agents)) - rhs
 
     def fprime(y):
-        return sum(-c / a.gamma * y ** (-1.0 / a.gamma - 1.0) for c, a in zip(coef, agents))
+        return sum(-c / a.gamma * _power(y, -1.0 / a.gamma - 1.0) for c, a in zip(coef, agents))
 
     y = math.sqrt(lo * hi)
     for _ in range(200):
@@ -385,7 +396,7 @@ def _assert_gtilde_matches_scalar(economy, lam):
             economy.aggregate.at_depth(k) - economy.beta
             * economy.aggregate.values[economy.tree.parent[economy.tree.depth_nodes[k]]])
         want = np.array([_scalar_weight_root(economy, lam, k, float(r), fallbacks) for r in rhs])
-        assert np.array_equal(system.gtilde[k], want), k
+        assert np.array_equal(system.gtilde[economy.tree.depth_nodes[k]], want), k
     return fallbacks
 
 
@@ -438,6 +449,55 @@ def test_weight_root_beyond_float_range_is_a_condition_error():
     agents = (EconomyAgent(2.0, 0.0, AdaptedProcess(tree, tree.horizon, vals)),) + econ.agents[1:]
     with pytest.raises(ConditionError, match="floating-point range"):
         excess_demand(EconomySpec(tree, econ.beta, agents), [0.6, 0.4])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_endowments_beyond_the_float_range_are_a_condition_error(scale):
+    # at 1e-150 the bracket overflows; at 1e150 it is tiny and its geometric
+    # mean, the first iterate, underflows to a zero root, which a guard that
+    # only looked for overflow would let through to "candidate SPD nonpositive"
+    desk = gi.desk_heterogeneous_economy()
+    tree = desk.tree
+    agents = tuple(EconomyAgent(a.gamma, a.rho, AdaptedProcess(tree, tree.horizon,
+                                                               scale * a.endowment.values))
+                   for a in desk.agents)
+    with pytest.raises(ConditionError, match="floating-point range"):
+        excess_demand(EconomySpec(tree, desk.beta, agents), [0.6, 0.4])
+
+
+def test_weight_coefficient_beyond_the_float_range_is_a_condition_error():
+    # lam^(1/gamma) = 1e400 for gamma = 0.5, while the bracket stays finite
+    desk = gi.desk_heterogeneous_economy(gammas=(0.5, 3.0))
+    with pytest.raises(ConditionError, match="floating-point range"):
+        excess_demand(desk, [1e200, 1.0])
+
+
+@pytest.mark.parametrize("lam", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
+                                 [0.0, 1.0], [-0.5, 1.0]])
+def test_excess_demand_rejects_nonpositive_or_non_finite_weights(lam):
+    with pytest.raises(ValueError, match="agent weights"):
+        excess_demand(gi.desk_heterogeneous_economy(), lam)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_economy_spec_rejects_a_non_finite_beta(value):
+    desk = gi.desk_heterogeneous_economy()
+    with pytest.raises(SchemaError) as info:
+        EconomySpec(desk.tree, value, desk.agents)
+    assert info.value.field == "beta"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("gamma", math.nan), ("gamma", math.inf), ("rho", math.nan), ("rho", math.inf),
+    ("beta", math.nan), ("beta", math.inf), ("support", ((math.nan, 0.5), (4.0, 0.5))),
+    ("support", ((math.inf, 0.5), (4.0, 0.5))), ("support", ((3.0, math.nan), (4.0, 0.5)))])
+def test_iid_economy_rejects_non_finite_numbers(field, value):
+    args = {"support": ((3.0, 0.5), (4.0, 0.5)), "gamma": 2.0, "rho": 0.0, "beta": 0.5,
+            "horizon": 2}
+    args[field] = value
+    with pytest.raises(SchemaError) as info:
+        IIDEconomy(**args)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("field,value", [("gamma", math.nan), ("rho", math.inf),
@@ -573,29 +633,41 @@ def test_economy_surplus_matches_one_step_habit(beta):
         ref = [eps.at_depth(0).copy()]
         for k in range(1, tree.horizon + 1):
             ref.append(eps.at_depth(k) - beta * eps.values[tree.parent[tree.depth_nodes[k]]])
-        assert len(econ.surplus) == len(ref)
-        assert all(np.array_equal(a, b) for a, b in zip(econ.surplus, ref))
         assert np.array_equal(econ.node_surplus, np.concatenate(ref))
 
 
 def _demand_loops(economy, lam, gtilde):
-    """The per-depth g and consumption loops excess_demand replaced
+    """The per-depth g, consumption and budget loops excess_demand replaced
     (reference): g_k = gtilde_k - beta E[gtilde_{k+1} | G_k], then
-    c_k = beta c_{k-1} + surplus_k per agent."""
+    c_k = beta c_{k-1} + surplus_k per agent, with the surplus raised by
+    numpy powers as in the source, then the budget gaps h summed depth by
+    depth.  Returns flat g, the consumptions, h, and per agent the sum of
+    the gap's absolute terms over lam_i (which bounds h's rounding)."""
     tree, T, beta = economy.tree, economy.tree.horizon, economy.beta
+    gtilde = [gtilde[nodes] for nodes in tree.depth_nodes]
     g = [None] * (T + 1)
     for k in range(T, -1, -1):
         g[k] = gtilde[k] if k == T else \
             gtilde[k] - beta * cond_expectation_arrays(tree, gtilde[k + 1], k + 1, k)
     consumptions = []
     for i, a in enumerate(economy.agents):
-        surp = [economy.discount_g[i, k] * gtilde[k] ** (-1.0 / a.gamma)
-                * lam[i] ** (1.0 / a.gamma) for k in range(T + 1)]
+        coef = _power(lam[i], 1.0 / a.gamma)
+        surp = [coef * economy.discount_g[i, tree.depth_nodes[k]]
+                * np.power(gtilde[k], np.full(len(gtilde[k]), -1.0 / a.gamma))
+                for k in range(T + 1)]
         slices = [surp[0]]
         for k in range(1, T + 1):
             slices.append(beta * slices[k - 1][tree.parent_pos(k)] + surp[k])
         consumptions.append(np.concatenate(slices))
-    return g, consumptions
+    p = tree.probabilities()
+    h, size = np.zeros(economy.n_agents), np.zeros(economy.n_agents)
+    for i, a in enumerate(economy.agents):
+        for k, nodes in enumerate(tree.depth_nodes):
+            terms = p[nodes] * g[k] * (consumptions[i][nodes] - a.endowment.at_depth(k))
+            h[i] += float(np.sum(terms))
+            size[i] += float(np.sum(np.abs(terms)))
+    h, size = h / lam, size / lam
+    return np.concatenate(g), consumptions, h, size
 
 
 def _random_tree_economy(rng, n_agents, beta):
@@ -621,10 +693,14 @@ def test_excess_demand_matches_per_depth_loops():
             system = excess_demand(economy, lam)
         except ConditionError:
             continue
-        g, consumptions = _demand_loops(economy, lam, system.gtilde)
-        assert all(np.array_equal(a, b) for a, b in zip(system.g, g))
-        assert all(np.array_equal(c.values, ref)
-                   for c, ref in zip(system.consumptions, consumptions))
+        g, consumptions, h, size = _demand_loops(economy, lam, system.gtilde)
+        assert np.array_equal(system.g, g)
+        assert system.consumptions.shape == (economy.n_agents, economy.tree.n_nodes)
+        assert all(np.array_equal(c, ref) for c, ref in zip(system.consumptions, consumptions))
+        # the one product sums in another order: both sums are within
+        # n eps sum|terms| of the exact one
+        n_eps = economy.tree.n_nodes * np.finfo(float).eps
+        assert np.all(np.abs(system.h - h) <= 2.0 * n_eps * size)
         checked += 1
     assert checked > 20
 
@@ -635,7 +711,7 @@ def _homogeneous_loops(economy):
     tree, T = economy.tree, economy.tree.horizon
     a = economy.agents[0]
     beta, g, rho = economy.beta, a.gamma, a.rho
-    s = economy.surplus
+    s = [economy.node_surplus[nodes] for nodes in tree.depth_nodes]
     foc_margin = suff_margin = math.inf
     for k in range(1, T + 1):
         lhs = s[k - 1] ** (-g)
