@@ -87,12 +87,22 @@ def _parse_grid(spec: str, field_name: str) -> list:
         raise SchemaError(field_name, f"cannot parse grid {spec!r}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One dict per JSON object, rejecting a repeated key (plain json.load
+    would keep its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise SchemaError("input", f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _read_input(config: RunConfig) -> dict:
     if config.input is None:
         raise SchemaError("input", "this command needs --input")
     try:
         with open(config.input, "rb") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise SchemaError("input", f"cannot read {config.input!r}") from None
     except json.JSONDecodeError as e:

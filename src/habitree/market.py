@@ -58,31 +58,6 @@ class Asset:
 
 
 @dataclass
-class AtomBasis:
-    """Pruned payoff basis of one depth-(k-1) atom: columns of `kept` are the
-    independent payoff vectors on the atom's children (bond first), and
-    `onb` spans the same space orthonormally under the conditional-probability
-    inner product (numerically preferable for projections and solves)."""
-
-    atom: int
-    children: np.ndarray
-    cond_probs: np.ndarray
-    full: np.ndarray          # all instrument payoffs, bond column 0
-    kept: np.ndarray
-    kept_cols: tuple
-    onb: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.kept.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection matrix onto the payoff span in the weighted
-        inner product."""
-        return self.onb @ (self.onb.T * self.cond_probs[None, :])
-
-
-@dataclass
 class BasisGroup:
     """Payoff bases of the depth-(k-1) atoms that share a child count b and a
     kept-column set, stacked along axis 0 with the atoms in index order.
@@ -95,6 +70,10 @@ class BasisGroup:
     full: np.ndarray          # (G, b, J) all instrument payoffs, bond column 0
     cond_probs: np.ndarray    # (G, b)
     onb: np.ndarray           # (G, b, r)
+
+    @property
+    def rank(self) -> int:
+        return len(self.kept_cols)
 
 
 @dataclass
@@ -111,7 +90,6 @@ class MarketSpec:
     idio: Optional[tuple] = None        # Partition per depth k=1..T (F_k)
     _groups: list = field(init=False, repr=False)
     _complete: bool = field(init=False, repr=False)
-    _views: dict = field(init=False, repr=False)
     _spd: AdaptedProcess = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -146,18 +124,22 @@ class MarketSpec:
         self._groups = [None] + [self._build_groups(k) for k in range(1, T + 1)]
         self._complete = all(len(g.kept_cols) == g.kids.shape[1]
                              for groups in self._groups[1:] for g in groups)
-        self._views = {}
         self._spd = compute_aggregate_spd(self)
 
     # payoff bases ----------------------------------------------------------
+
+    def payoffs(self, k: int) -> np.ndarray:
+        """Depth-k payoffs of every instrument, (nodes, 1 + assets), bond
+        column 0."""
+        return np.column_stack([1.0 + self.interest.at_depth(k)]
+                               + [a.prices.at_depth(k) + a.dividends.at_depth(k)
+                                  for a in self.assets])
 
     def _build_groups(self, k: int) -> list:
         """Weighted Gram-Schmidt once per child-count group, then one
         :class:`BasisGroup` per kept-column set within it."""
         tree = self.tree
-        payoffs = np.column_stack([1.0 + self.interest.at_depth(k)]
-                                  + [a.prices.at_depth(k) + a.dividends.at_depth(k)
-                                     for a in self.assets])
+        payoffs = self.payoffs(k)
         probs = tree.trans_prob[tree.depth_nodes[k]]
         out = []
         for atoms, kids in tree.child_groups(k):
@@ -181,19 +163,14 @@ class MarketSpec:
         return self._groups[k]
 
     def atom_bases(self, k: int) -> list:
-        """Pruned payoff-space basis of L_k, one :class:`AtomBasis` per
-        depth-(k-1) atom (bond vector first, dependent columns dropped); a
-        per-atom view of :meth:`basis_groups`, built on first use."""
-        view = self._views.get(k)
-        if view is None:
-            tree = self.tree
-            view = [None] * len(tree.depth_nodes[k - 1])
-            for g in self.basis_groups(k):
-                cols = list(g.kept_cols)
-                for a, kids, w, full, onb in zip(g.atoms, g.kids, g.cond_probs, g.full, g.onb):
-                    view[a] = AtomBasis(tree.n_upto(k - 2) + int(a), tree.n_upto(k - 1) + kids,
-                                        w, full, full[:, cols], g.kept_cols, onb)
-            self._views[k] = view
+        """One-atom slices of :meth:`basis_groups`, one per depth-(k-1) atom
+        in atom order, for callers that still count ranks atom by atom."""
+        view = [None] * len(self.tree.depth_nodes[k - 1])
+        for g in self.basis_groups(k):
+            for i, a in enumerate(g.atoms):
+                s = slice(i, i + 1)
+                view[a] = BasisGroup(g.atoms[s], g.kids[s], g.kept_cols, g.full[s],
+                                     g.cond_probs[s], g.onb[s])
         return view
 
     @property
@@ -470,48 +447,54 @@ class MarketClassification:
     classC_partitions: Optional[tuple] = None
 
 
-def _condexp_matrix(labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Conditional expectation onto the blocks of one atom's children, as a
-    matrix; `labels` gives each child's block, `w` the child weights."""
-    mass = np.bincount(labels, weights=w)[labels]
-    return np.where(labels[:, None] == labels[None, :], w[None, :] / mass[:, None], 0.0)
+def _projections(g: BasisGroup) -> np.ndarray:
+    """Matrices of the orthogonal projection onto each atom's payoff span in
+    the weighted inner product, stacked (G, b, b)."""
+    return np.matmul(g.onb, g.onb.transpose(0, 2, 1) * g.cond_probs[:, None, :])
+
+
+def _is_condexp(proj: np.ndarray, same: np.ndarray, w: np.ndarray) -> bool:
+    """True when the stacked projections equal conditional expectation onto
+    blocks of each atom's children; same[g, i, j] says children i and j of
+    atom g share a block, w holds the child weights."""
+    mass = np.where(same, w[:, None, :], 0.0).sum(axis=2)
+    E = np.where(same, w[:, None, :] / mass[:, :, None], 0.0)
+    return not np.max(np.abs(proj - E)) > 1e-10
 
 
 def _derive_intermediate(market: MarketSpec, k: int) -> Optional[Partition]:
     """Find H_k with projection = conditional expectation onto H_k, if the
-    per-atom payoff projectors have exact block structure."""
+    payoff projections have exact block structure.  The candidate blocks are
+    the connected components of each projection's support; blocks come out
+    ordered by their first child, children in index order."""
     tree = market.tree
-    blocks_all = []
-    for basis in market.atom_bases(k):
-        w = basis.cond_probs
-        proj = basis.projector()
-        n = len(basis.children)
-        # candidate blocks from the projector's support pattern
-        labels = list(range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(proj[i, j]) > 1e-8 or abs(proj[j, i]) > 1e-8:
-                    li, lj = labels[i], labels[j]
-                    labels = [li if l == lj else l for l in labels]
-        if np.max(np.abs(proj - _condexp_matrix(np.array(labels), w))) > 1e-10:
+    first = np.empty(len(tree.depth_nodes[k]), dtype=np.int64)
+    for g in market.basis_groups(k):
+        proj = _projections(g)
+        b = proj.shape[1]
+        reach = np.abs(proj) > 1e-8
+        reach |= reach.transpose(0, 2, 1) | np.eye(b, dtype=bool)
+        # each squaring doubles the path length covered; b - 1 suffices
+        for _ in range(max(b - 2, 0).bit_length()):
+            reach = np.matmul(reach, reach)
+        if not _is_condexp(proj, reach, g.cond_probs):
             return None
-        groups = {}
-        for c, l in zip(basis.children, labels):
-            groups.setdefault(l, []).append(int(c))
-        blocks_all.extend(tuple(g) for g in groups.values())
-    return Partition(tree, k, tuple(blocks_all))
+        # label each child by its first block-mate
+        first[g.kids] = np.take_along_axis(g.kids, reach.argmax(axis=2), axis=1)
+    order = np.argsort(first, kind="stable")
+    starts = np.flatnonzero(np.diff(first[order]))
+    return Partition(tree, k, tuple(np.split(tree.n_upto(k - 1) + order, starts + 1)))
 
 
 def _verify_classC(market: MarketSpec, partitions: Sequence[Partition]) -> bool:
-    tree = market.tree
-    for k in range(1, tree.horizon + 1):
-        part = partitions[k - 1]
-        if not part.is_intermediate():
-            return False
+    """Projection equals conditional expectation onto each (intermediate)
+    partition."""
+    for k, part in enumerate(partitions, start=1):
         label = part.block_index()
-        for basis in market.atom_bases(k):
-            E = _condexp_matrix(label[basis.children - tree.n_upto(k - 1)], basis.cond_probs)
-            if np.max(np.abs(basis.projector() - E)) > 1e-10:
+        for g in market.basis_groups(k):
+            lab = label[g.kids]
+            if not _is_condexp(_projections(g), lab[:, :, None] == lab[:, None, :],
+                               g.cond_probs):
                 return False
     return True
 
@@ -526,19 +509,18 @@ def _verify_idiosyncratic(market: MarketSpec) -> bool:
     p = tree.probabilities()
     for k in range(1, T + 1):
         part = market.idio[k - 1]
+        payoffs = market.payoffs(k)
+        spread = (blockwise_reduce(tree, payoffs, k, part, np.maximum)
+                  - blockwise_reduce(tree, payoffs, k, part, np.minimum))
+        if np.max(spread) > 1e-10:
+            return False
+        # replicability of factor claims: on an atom's children, the
+        # indicator of child j's block is column j of `same`
         label = part.block_index()
-        payoffs = [1.0 + market.interest.at_depth(k)]
-        for a in market.assets:
-            payoffs.append(a.prices.at_depth(k) + a.dividends.at_depth(k))
-        for row in payoffs:
-            spread = (blockwise_reduce(tree, row, k, part, np.maximum)
-                      - blockwise_reduce(tree, row, k, part, np.minimum))
-            if np.max(spread) > 1e-10:
-                return False
-        # replicability of factor claims: project block indicators onto L_k
-        for bi in range(len(part.blocks)):
-            ind = (label == bi).astype(float)
-            if np.max(np.abs(project(market, ind, k) - ind)) > 1e-10:
+        for g in market.basis_groups(k):
+            lab = label[g.kids]
+            same = (lab[:, :, None] == lab[:, None, :]).astype(float)
+            if np.max(np.abs(np.matmul(_projections(g), same) - same)) > 1e-10:
                 return False
     # conditional independence on indicators of F_{k+1}; at k = 0 both
     # sigma-algebras are trivial, so the check starts at k = 1
@@ -577,8 +559,8 @@ def validate_market_class(market: MarketSpec) -> MarketClassification:
         labels.add("classC")
         partitions = tuple(market.classC)
     if "classC" not in labels:
-        derived = [_derive_intermediate(market, k) for k in range(1, tree.horizon + 1)]
-        if all(d is not None for d in derived) and _verify_classC(market, derived):
+        derived = tuple(_derive_intermediate(market, k) for k in range(1, tree.horizon + 1))
+        if all(d is not None for d in derived):
             labels.add("classC")
             partitions = tuple(derived)
     if _verify_idiosyncratic(market):

@@ -468,9 +468,10 @@ def blockwise_reduce(tree: EventTree, values: np.ndarray, m: int, partition: Par
                      ufunc) -> np.ndarray:
     """Reduce depth-m values over the descendants of each partition block
     with `ufunc` (``np.maximum`` or ``np.minimum``), returned as an array
-    over the partition's depth (constant on blocks)."""
+    over the partition's depth (constant on blocks).  Axis 0 runs over the
+    depth-m nodes; trailing axes are carried through."""
     order, starts, label = _block_walk(tree, partition, m)
-    return ufunc.reduceat(np.asarray(values, dtype=float)[order], starts)[label]
+    return ufunc.reduceat(np.asarray(values, dtype=float)[order], starts, axis=0)[label]
 
 
 def cond_esssup(tree: EventTree, process: AdaptedProcess, partition: Partition) -> np.ndarray:

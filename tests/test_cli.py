@@ -362,6 +362,31 @@ def test_cli_bad_tolerance_is_a_schema_error(tmp_path, tol):
     assert json.loads(err)["field"] == "tol"
 
 
+def test_cli_rejects_a_repeated_node_id(tmp_path):
+    obj = _desk_document()
+    node = obj["economy"]["tree"]["nodes"][3]["id"]
+    # the first agent's endowment map names the node twice
+    text = json.dumps(obj).replace('"endowment": {', f'"endowment": {{"{node}": 5.0, ', 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    rc, out, err = run_cli(["equilibrium", "--input", str(path)])
+    assert rc == 2 and out == b""
+    msg = json.loads(err)
+    assert (msg["error"], msg["field"]) == ("SchemaError", "input")
+    assert repr(node) in msg["message"]
+
+
+def test_cli_rejects_a_repeated_field(market_agent_input, tmp_path):
+    text = open(market_agent_input).read().replace('"agent": {', '"agent": {"beta": 0.5, ', 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    rc, out, err = run_cli(["solve", "--input", str(path)])
+    assert rc == 2 and out == b""
+    msg = json.loads(err)
+    assert (msg["error"], msg["field"]) == ("SchemaError", "input")
+    assert "'beta'" in msg["message"]
+
+
 def test_cli_malformed_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -43,31 +43,31 @@ def bond_only_market(tree, rate=0.0):
 def test_basis_bond_only_is_ones():
     tree = EventTree.uniform(1, 3)
     market = bond_only_market(tree, 0.0)
-    [basis] = market.atom_bases(1)
-    assert basis.rank == 1
-    assert np.allclose(basis.kept[:, 0], 1.0)
+    [g] = market.basis_groups(1)
+    assert g.rank == 1
+    assert np.allclose(g.full[0][:, list(g.kept_cols)][:, 0], 1.0)
 
 
 def test_basis_prunes_duplicated_bond():
     market = gi.deterministic_market(2, 0.07)
     for k in (1, 2):
-        for basis in market.atom_bases(k):
-            assert basis.rank == 1              # the risky asset duplicates the bond
-            assert basis.kept_cols == (0,)      # bond kept first
+        for g in market.basis_groups(k):
+            assert g.rank == 1                  # the risky asset duplicates the bond
+            assert g.kept_cols == (0,)          # bond kept first
 
 
 def test_basis_binary_market_full_rank(binary_market):
-    [basis] = binary_market.atom_bases(1)
-    assert basis.rank == 2
-    assert np.linalg.matrix_rank(basis.full) == 2
+    [g] = binary_market.basis_groups(1)
+    assert g.rank == 2
+    assert np.linalg.matrix_rank(g.full[0]) == 2
 
 
 # -- projection -------------------------------------------------------------------
 
 
 def test_project_idempotent(binary_market):
-    [basis] = binary_market.atom_bases(1)
-    x = basis.full @ np.array([0.3, -1.2])
+    [g] = binary_market.basis_groups(1)
+    x = g.full[0] @ np.array([0.3, -1.2])
     assert np.allclose(project(binary_market, x, 1), x, atol=1e-12)
 
 
@@ -105,12 +105,10 @@ def test_projection_residual_orthogonal():
         x = rng.normal(size=len(tree.depth_nodes[k]))
         proj = project(market, x, k)
         resid = x - proj
-        pos = {int(n): j for j, n in enumerate(tree.depth_nodes[k])}
-        for basis in market.atom_bases(k):
-            sel = [pos[int(c)] for c in basis.children]
-            pw = p[basis.children]
-            for j in range(basis.rank):
-                assert abs(np.sum(pw * basis.kept[:, j] * resid[sel])) < 1e-10
+        for g in market.basis_groups(k):
+            pw = p[tree.n_upto(k - 1) + g.kids]
+            for j in g.kept_cols:
+                assert np.max(np.abs(np.sum(pw * g.full[:, :, j] * resid[g.kids], axis=1))) < 1e-10
 
 
 # -- aggregate SPD ----------------------------------------------------------------
@@ -261,22 +259,24 @@ def test_stacked_bases_match_per_atom_gram_schmidt_bit_for_bit():
         tree = market.tree
         for k in range(1, tree.horizon + 1):
             ref = list(_atoms_reference(tree, market.assets, market.interest, k))
+            view = market.atom_bases(k)
             seen = 0
             for g in market.basis_groups(k):
-                assert g.onb.shape == g.kids.shape + (len(g.kept_cols),)
+                assert g.onb.shape == g.kids.shape + (g.rank,)
                 for i, a in enumerate(g.atoms):
                     u, kids, w, full, kept_cols, onb = ref[a]
                     assert np.array_equal(tree.n_upto(k - 1) + g.kids[i], kids)
                     assert g.kept_cols == kept_cols
                     assert g.onb[i].tobytes() == onb.tobytes()
                     assert g.full[i].tobytes() == full.tobytes()
+                    # atom_bases(k)[a] is atom a's one-atom slice of its group
+                    basis = view[a]
+                    assert tree.n_upto(k - 2) + int(basis.atoms[0]) == u
+                    assert basis.kept_cols == kept_cols and basis.rank == len(kept_cols)
+                    for name in ("atoms", "kids", "full", "cond_probs", "onb"):
+                        assert getattr(basis, name).tobytes() == getattr(g, name)[i:i + 1].tobytes()
                     seen += 1
-            assert seen == len(ref)
-            for basis, (u, kids, w, full, kept_cols, onb) in zip(market.atom_bases(k), ref):
-                assert basis.atom == u and basis.kept_cols == kept_cols
-                assert np.array_equal(basis.children, kids)
-                assert basis.onb.tobytes() == onb.tobytes()
-                assert basis.kept.tobytes() == full[:, list(kept_cols)].tobytes()
+            assert seen == len(ref) == len(view)
 
 
 def test_stacked_project_matches_per_atom_loop_bit_for_bit():
@@ -459,6 +459,65 @@ def _factor_market_variant(case):
                                    for a in assets),
                       move(market.interest),
                       idio=tuple(Partition(tree2, p.depth, p.blocks) for p in idio))
+
+
+def _derive_reference(market, k):
+    """H_k by the per-atom support-merge loop: labels merged over each
+    atom's projector support, blocks in first-child order within an atom,
+    atoms in index order; None without exact block structure."""
+    tree = market.tree
+    blocks_all = []
+    for u, kids, w, full, kept_cols, onb in _atoms_reference(tree, market.assets,
+                                                             market.interest, k):
+        proj = onb @ (onb.T * w[None, :])
+        n = len(kids)
+        labels = list(range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(proj[i, j]) > 1e-8 or abs(proj[j, i]) > 1e-8:
+                    li, lj = labels[i], labels[j]
+                    labels = [li if l == lj else l for l in labels]
+        lab = np.array(labels)
+        mass = np.bincount(lab, weights=w)[lab]
+        if np.max(np.abs(proj - np.where(lab[:, None] == lab, w / mass[:, None], 0.0))) > 1e-10:
+            return None
+        groups = {}
+        for c, l in zip(kids, labels):
+            groups.setdefault(l, []).append(int(c))
+        blocks_all.extend(tuple(g) for g in groups.values())
+    return tuple(blocks_all)
+
+
+def test_derived_partitions_match_per_atom_merge_loop():
+    noncontiguous = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        gen = gi.random_classC_market(rng, gi.random_tree(rng, max_children=5, min_depth=2))
+        # the same market without its blocks, so they must be derived
+        market = MarketSpec(gen.tree, gen.assets, gen.interest)
+        for k in range(1, market.tree.horizon + 1):
+            derived = market_mod._derive_intermediate(market, k)
+            assert derived.blocks == _derive_reference(market, k)
+            assert set(derived.blocks) == set(gen.classC[k - 1].blocks)
+            noncontiguous += any(b[-1] - b[0] >= len(b) for b in derived.blocks)
+        if not market.is_complete():
+            assert validate_market_class(market).classC_partitions == \
+                tuple(market_mod._derive_intermediate(market, k)
+                      for k in range(1, market.tree.horizon + 1))
+    assert noncontiguous >= 60          # depths where some block skips a sibling
+
+
+def test_no_derived_partition_without_block_structure():
+    found = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        market = gi.random_general_market(rng, gi.random_tree(rng, min_depth=2))
+        for k in range(1, market.tree.horizon + 1):
+            derived = market_mod._derive_intermediate(market, k)
+            want = _derive_reference(market, k)
+            assert (derived is None and want is None) or derived.blocks == want
+            found.append(derived is not None)
+    assert any(found) and not all(found)    # both outcomes are reached
 
 
 @pytest.mark.parametrize("case", ["payoff-not-factor-adapted", "factor-claim-not-replicable",

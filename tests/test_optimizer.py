@@ -464,13 +464,16 @@ def _dense_maps(market, agent):
     M = market.spd.values
     K, W = [], []
     for k in range(1, tree.horizon + 1):
-        for basis in market.atom_bases(k):
-            for j in range(basis.rank):
+        # atom order across the groups, as in the program's K
+        atoms = sorted((int(a), g, i) for g in market.basis_groups(k)
+                       for i, a in enumerate(g.atoms))
+        for a, g, i in atoms:
+            children, u = tree.n_upto(k - 1) + g.kids[i], tree.n_upto(k - 2) + a
+            for j in range(g.rank):
                 col = np.zeros(n)
-                col[basis.children] = basis.onb[:, j]
+                col[children] = g.onb[i][:, j]
                 W.append(col.copy())
-                u = basis.atom
-                col[u] -= np.sum(basis.cond_probs * M[basis.children] * basis.onb[:, j]) / M[u]
+                col[u] -= np.sum(g.cond_probs[i] * M[children] * g.onb[i][:, j]) / M[u]
                 K.append(col)
     return L, np.column_stack(K), np.column_stack(W)
 

@@ -15,7 +15,7 @@ from habitree import (
 )
 from habitree.instances import random_positive_spd
 from habitree.market import complete_market_from_spd, present_value, spd_edge_ratios
-from habitree.tree import cond_expectation_arrays
+from habitree.tree import blockwise_reduce, cond_expectation_arrays
 
 TOL = 1e-12
 
@@ -157,6 +157,24 @@ def test_esssup_depth_mismatch():
     X = AdaptedProcess.constant(tree, 1.0, depth=1)
     with pytest.raises(ValueError):
         cond_esssup(tree, X, Partition.trivial(tree, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees(), st.integers(0, 10_000))
+def test_blockwise_reduce_on_columns_equals_one_call_per_column(tree, salt):
+    rng = np.random.default_rng(salt)
+    m = tree.horizon
+    k = int(rng.integers(0, m + 1))
+    # random blocks of depth-k nodes, free to span sibling groups
+    nodes = rng.permutation(tree.depth_nodes[k])
+    cuts = np.sort(rng.choice(np.arange(1, len(nodes)), size=min(2, len(nodes) - 1),
+                              replace=False))
+    part = Partition(tree, k, tuple(np.split(nodes, cuts)))
+    values = rng.normal(size=(len(tree.depth_nodes[m]), 4))
+    for ufunc in (np.maximum, np.minimum):
+        want = np.column_stack([blockwise_reduce(tree, values[:, j], m, part, ufunc)
+                                for j in range(values.shape[1])])
+        assert np.array_equal(blockwise_reduce(tree, values, m, part, ufunc), want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -22,16 +21,12 @@ def test_unknown_suite_rejected():
         run_suites({"no-such-suite": 1}, seed=1)
 
 
-def test_env_thread_cap_respected_by_cli(tmp_path):
+def test_two_fresh_verify_processes_print_the_same_bytes(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"suites": {"tree-tower": 3}}))
-    env = dict(os.environ, HABITREE_THREADS="2")
-    out1 = subprocess.run([sys.executable, "-m", "habitree.cli", "verify",
-                           "--input", str(manifest), "--seed", "3"],
-                          capture_output=True, env=env)
-    out2 = subprocess.run([sys.executable, "-m", "habitree.cli", "verify",
-                           "--input", str(manifest), "--seed", "3"],
-                          capture_output=True)
+    out1, out2 = (subprocess.run([sys.executable, "-m", "habitree.cli", "verify",
+                                  "--input", str(manifest), "--seed", "3"],
+                                 capture_output=True) for _ in range(2))
     assert out1.returncode == out2.returncode == 0
     assert out1.stdout == out2.stdout
 
