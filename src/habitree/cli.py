@@ -92,8 +92,11 @@ def _unique_keys(pairs: list) -> dict:
     would keep its last value)."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise SchemaError("input", f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("input", f"repeated key {key!r}")
+            seen.add(key)
     return obj
 
 

@@ -387,6 +387,21 @@ def test_cli_rejects_a_repeated_field(market_agent_input, tmp_path):
     assert "'beta'" in msg["message"]
 
 
+def test_cli_names_a_late_repeated_key_in_a_large_map(tmp_path):
+    # the repeated key is the last of 200,000, so naming it must take one
+    # pass over the object, not one count per key
+    keys = [f"x{i}" for i in range(200_000)]
+    body = ", ".join(f'"{k}": 1.0' for k in keys + keys[-1:])
+    path = tmp_path / "repeated.json"
+    path.write_text(f'{{"economy": {{"endowment": {{{body}}}}}}}')
+    proc = subprocess.run([sys.executable, "-m", "habitree.cli", "equilibrium",
+                           "--input", str(path)], capture_output=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    msg = json.loads(proc.stderr)
+    assert (msg["error"], msg["field"]) == ("SchemaError", "input")
+    assert repr(keys[-1]) in msg["message"]
+
+
 def test_cli_malformed_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
