@@ -20,8 +20,11 @@ result's ``method``:
   every habit surplus positive.  It starts at the endowment (theta = 0)
   when every habit surplus of the endowment is positive, and otherwise at
   the point of a phase-1 LP (the only use of scipy.optimize on this
-  route).  Once an iterate meets ``tol`` it takes one more Newton step, so
-  the result sits at roundoff and does not depend on the start.
+  route).  Each Newton step solves its system by block elimination along
+  the tree, deepest atoms first, since the Hessian couples an atom's
+  coordinates only with those of a few generations of its ancestors.
+  Once an iterate meets ``tol`` it takes one more Newton step, so the
+  result sits at roundoff and does not depend on the start.
 
 Either route checks the first-order residual of its result against ``tol``
 and raises ConvergenceError when it is not met; Newton also stops, with the
@@ -36,6 +39,8 @@ route."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleProblemError, SchemaError
@@ -102,12 +107,15 @@ def _check_same_tree(market: MarketSpec, agent: AgentSpec) -> None:
 
 
 class _Problem:
-    """Sparse linear maps for one (market, agent) instance.
+    """Sparse linear maps and the Newton system's block pattern for one
+    (market, agent) instance.
 
     c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma),
     W = Kw theta.  K (CSC) has one column per orthonormal payoff-basis vector
     and Kw is K without each column's parent-atom entry; L, LK = L K and its
-    transpose LKT are CSR.  All are built once.
+    transpose LKT are CSR.  The Hessian LK^T diag(d) LK is assembled per
+    Newton step as per-atom blocks (:meth:`hess`), in a pattern fixed here.
+    All are built once.
     """
 
     def __init__(self, market: MarketSpec, agent: AgentSpec, endowment_values: np.ndarray):
@@ -172,21 +180,51 @@ class _Problem:
         self.LKT = LK.T.tocsr()
         self.Lbase = self.L @ self.base
 
-        # Hessian pattern, fixed per problem: H[i, j] = sum_n LK[n, i] d_n
-        # LK[n, j] sums over the pairs (a, b) of LK entries sharing a row n.
-        # Each pair adds into entry _pair_pos of H's CSC data; the products
-        # are symmetric in (a, b), so H is exactly symmetric.
+        # The Newton system -H d = g in tree-sparse blocks.  A row of LK
+        # touches one root path, so -H = LK^T diag(d) LK couples an atom's
+        # coordinates only with its own and with those of its ancestors at
+        # most `reach` generations up.  Atom a (a node above the leaves)
+        # owns r_max rows in two block arrays: its diagonal block -H(a, a)
+        # (rows past its rank get an identity diagonal), and
+        # [-H(a, anc_1(a)) | ... | -H(a, anc_reach(a)) | g].  Each pair (e, f)
+        # of entries in one row of LK, f's atom an ancestor of (or equal to)
+        # e's, adds into one position of the two arrays, stored back to back.
+        n_atoms = tree.n_upto(T - 1)
+        r = self.r_max = int(rank.max(initial=0))
+        self._theta_row = atom * r + np.arange(m) - first_col[atom]
+        col_row = self._theta_row[LK.indices]
         per_row = np.diff(LK.indptr)
         rows = np.repeat(np.arange(n), per_row)
-        reps = per_row[rows]                        # pairs that start at entry a
-        a = np.repeat(np.arange(LK.nnz), reps)
-        b = LK.indptr[rows[a]] + np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
-        key, self._pair_pos = np.unique(LK.indices[b].astype(np.int64) * m + LK.indices[a],
-                                        return_inverse=True)
-        self._pair_row = rows[a]
-        self._pair_w = LK.data[a] * LK.data[b]
-        self._H_indices = key % m
-        self._H_indptr = np.searchsorted(key, np.arange(m + 1) * m)
+        reps = per_row[rows]                        # pairs that start at entry e
+        e = np.repeat(np.arange(LK.nnz), reps)
+        f = LK.indptr[rows[e]] + np.arange(len(e)) - np.repeat(np.cumsum(reps) - reps, reps)
+        gap = tree.depth[atom[LK.indices[e]]] - tree.depth[atom[LK.indices[f]]]
+        e, f, gap = e[gap >= 0], f[gap >= 0], gap[gap >= 0]
+        R = self.reach = int(gap.max(initial=0))
+        n_diag, width = n_atoms * r * r, R * r + 1
+        self._blk_pos = np.where(gap == 0, col_row[e] * r + col_row[f] % r,
+                                 n_diag + col_row[e] * width + (gap - 1) * r + col_row[f] % r)
+        self._blk_per_row = np.bincount(rows[e], minlength=n)     # pairs in row order
+        self._blk_w = LK.data[e] * LK.data[f]
+        self._blk_shapes = (n_atoms, r, r), (n_atoms, r, width)
+        self._g_pos = n_diag + self._theta_row * width + width - 1
+        pad_atom, pad_slot = np.nonzero(np.arange(r) >= rank[:n_atoms, None])
+        self._pad_pos = (pad_atom * r + pad_slot) * r + pad_slot
+        # the elimination order, deepest atoms first: per depth the atoms'
+        # range, their ancestors up to q = min(reach, depth) generations as
+        # an (atoms, q) array, and per generation the ancestors' range and
+        # where each one's descendants start.  Breadth-first order keeps
+        # those descendants contiguous, and every node above the leaves has
+        # children, so the segments match the ancestors one to one.
+        self._sweep = []
+        for k in range(T - 1, -1, -1):
+            lo, hi = tree.n_upto(k - 1), tree.n_upto(k)
+            anc, ups = [np.arange(lo, hi)], []
+            for _ in range(min(R, k)):
+                anc.append(tree.parent[anc[-1]])
+                ups.append((anc[-1][0], anc[-1][-1] + 1,
+                            np.flatnonzero(np.diff(anc[-1], prepend=-1))))
+            self._sweep.append((lo, hi, np.stack(anc[1:], axis=1) if ups else None, ups))
 
     def consumption(self, theta: np.ndarray) -> np.ndarray:
         return self.base + self.K @ theta
@@ -209,24 +247,51 @@ class _Problem:
     def grad(self, s: np.ndarray) -> np.ndarray:
         return self.LKT @ (self.pw * s ** (-self.gamma))
 
-    def hess(self, s: np.ndarray):
-        """LK^T diag(d) LK as a CSC matrix."""
-        from scipy import sparse
+    def hess(self, s: np.ndarray, g: np.ndarray):
+        """The Newton system -H d = g at surplus s and gradient g, as the
+        tree-sparse blocks (diagonal blocks (atoms, r_max, r_max), and
+        ancestor blocks with g (atoms, r_max, reach r_max + 1)) that
+        :func:`_newton_direction` eliminates."""
+        diag_shape, off_shape = self._blk_shapes
+        n_diag = math.prod(diag_shape)
+        d = self.pw * self.gamma * s ** (-self.gamma - 1.0)
+        blocks = np.bincount(self._blk_pos, weights=self._blk_w * np.repeat(d, self._blk_per_row),
+                             minlength=n_diag + math.prod(off_shape))
+        blocks[self._pad_pos] = 1.0
+        blocks[self._g_pos] = g
+        return blocks[:n_diag].reshape(diag_shape), blocks[n_diag:].reshape(off_shape)
 
-        d = self.pw * (-self.gamma) * s ** (-self.gamma - 1.0)
-        data = np.bincount(self._pair_pos, weights=self._pair_w * d[self._pair_row],
-                           minlength=len(self._H_indices))
-        m = self.n_theta
-        return sparse.csc_array((data, self._H_indices, self._H_indptr), shape=(m, m))
 
-
-def _newton_direction(H, g: np.ndarray) -> np.ndarray:
-    """Solve -H d = g by sparse LU; RuntimeError on an exactly singular H.
-    Factoring H and solving for -g gives the bits of factoring -H, without
-    building -H."""
-    from scipy.sparse.linalg import splu
-
-    return splu(H).solve(-g)
+def _newton_direction(problem: _Problem, blocks) -> np.ndarray:
+    """Solve the Newton system from :meth:`_Problem.hess` by block
+    elimination on the tree.  Atoms go deepest first, each depth one stacked
+    solve of its diagonal blocks against [ancestor blocks | g] and one
+    stacked product for the Schur updates, summed onto each ancestor's
+    blocks in place; eliminating an atom only updates blocks between its
+    ancestors, so there is no fill.  Back substitution then runs top-down.
+    Raises numpy.linalg.LinAlgError on an exactly singular diagonal block."""
+    diag, off = blocks
+    r, R = problem.r_max, problem.reach
+    solved = []
+    for lo, hi, _, ups in problem._sweep:
+        S = np.linalg.solve(diag[lo:hi], off[lo:hi])        # [Z_1 .. Z_R | y]
+        solved.append(S)
+        if ups:
+            U = np.matmul(off[lo:hi, :, :R * r].transpose(0, 2, 1), S)
+            for i, (p_lo, p_hi, starts) in enumerate(ups):
+                # generation i+1 takes A(a, anc)^T [Z_{i+1} .. Z_R | y]
+                red = np.add.reduceat(U[:, i * r:(i + 1) * r], starts, axis=0)
+                diag[p_lo:p_hi] -= red[:, :, i * r:(i + 1) * r]
+                off[p_lo:p_hi, :, :(R - i - 1) * r] -= red[:, :, (i + 1) * r:R * r]
+                off[p_lo:p_hi, :, -1] -= red[:, :, -1]
+    x = np.empty(diag.shape[:2])
+    for (lo, hi, anc, ups), S in zip(reversed(problem._sweep), reversed(solved)):
+        if ups:
+            q = len(ups) * r
+            x[lo:hi] = S[:, :, -1] - np.matmul(S[:, :, :q], x[anc].reshape(hi - lo, q, 1))[:, :, 0]
+        else:
+            x[lo:hi] = S[:, :, -1]
+    return x.reshape(-1)[problem._theta_row]
 
 
 def _phase1_interior(problem: _Problem):
@@ -450,8 +515,8 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
                     reason = "stagnated"
                     break
         try:
-            d = _newton_direction(problem.hess(s), g)
-        except RuntimeError:
+            d = _newton_direction(problem, problem.hess(s, g))
+        except np.linalg.LinAlgError:
             reason = "singular Newton system"
             break
         ds = problem.LK @ d

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import habitree.instances as gi
 from habitree import (
@@ -433,17 +432,32 @@ def test_solution_does_not_depend_on_the_start(monkeypatch):
     assert endowment.foc_residual < 1e-9 and lp.foc_residual < 1e-9
 
 
-def test_newton_from_the_endowment_imports_no_scipy_optimize():
-    # the phase-1 LP is the Newton route's only use of scipy.optimize
-    code = ("import sys; import numpy as np; import habitree.instances as gi; "
-            "from habitree import solve_consumption; "
-            "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
-            "market = gi.random_general_market(rng, tree); "
-            "assert solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; "
-            "print('scipy.optimize' in sys.modules)")
+# an incomplete solve whose endowment surplus is positive, so Newton starts at
+# the endowment and no phase-1 LP runs
+_ENDOWMENT_START = (
+    "import sys; import numpy as np; import habitree.instances as gi; "
+    "from habitree import solve_consumption; "
+    "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
+    "market = gi.random_general_market(rng, tree); "
+    "assert solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; ")
+
+
+def _loaded_after_endowment_start(*modules):
+    code = _ENDOWMENT_START + f"print([m in sys.modules for m in {modules!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_newton_from_the_endowment_imports_no_scipy_optimize():
+    # the phase-1 LP is the Newton route's only use of scipy.optimize
+    assert _loaded_after_endowment_start("scipy.optimize") == "[False]"
+
+
+def test_newton_step_imports_no_sparse_linalg():
+    # the Newton maps are scipy.sparse arrays; the step is solved without
+    # scipy.sparse.linalg
+    assert _loaded_after_endowment_start("scipy.sparse", "scipy.sparse.linalg") == "[True, False]"
 
 
 # -- the sparse problem maps (incomplete route and oracle) ---------------------------
@@ -498,26 +512,103 @@ def test_sparse_maps_match_dense_loops(market, agent):
     assert np.array_equal(problem.LKT.toarray(), problem.LK.toarray().T)
 
 
-@pytest.mark.parametrize("market,agent", list(_general_instances()))
+def _full_memory_instance():
+    """Every habit coefficient beta^(k)_l nonzero, so the Newton system
+    couples each atom with all of its ancestors."""
+    rng = np.random.default_rng(95)
+    tree = gi.random_tree(rng, min_depth=4, max_depth=4)
+    market = gi.random_general_market(rng, tree)
+    habits = np.tril(rng.uniform(0.1, 1.0, size=(5, 5)), -1)
+    habits[1:] *= 0.3 / habits[1:].sum(axis=1, keepdims=True)
+    endow = AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, size=tree.n_nodes))
+    return market, AgentSpec(2.0, 0.03, habits, endow)
+
+
+def _uneven_rank_instance():
+    """One to four children per atom and a class-C market with several
+    assets, so atoms carry between one and three coordinates."""
+    rng = np.random.default_rng(99)
+    tree = gi.random_tree(rng, min_depth=3, max_children=4)
+    market = gi.random_classC_market(rng, tree)
+    return market, gi.random_agent(rng, tree)
+
+
+def test_direction_instances_reach_every_ancestor_and_pad_ranks():
+    market, agent = _full_memory_instance()
+    problem = _Problem(market, agent, agent.endowment.values)
+    assert problem.reach == market.tree.horizon - 1      # the deepest atoms reach the root
+    market, agent = _uneven_rank_instance()
+    ranks = {g.rank for k in range(1, market.tree.horizon + 1) for g in market.basis_groups(k)}
+    assert not market.is_complete() and len(ranks) >= 3
+    assert _Problem(market, agent, agent.endowment.values).r_max == max(ranks)
+
+
+@pytest.mark.parametrize("market,agent", list(_general_instances())
+                         + [_full_memory_instance(), _uneven_rank_instance()])
 def test_sparse_newton_direction_matches_dense_solve(market, agent):
+    # the oracle: -H = (L K)^T diag(d) (L K) from the dense per-column maps
     assert not market.is_complete()
     problem = _Problem(market, agent, agent.endowment.values)
     s = problem.surplus(_phase1_interior(problem))
-    g, H = problem.grad(s), problem.hess(s)
-    dense = np.linalg.solve(-H.toarray(), g)
-    assert _rel(_newton_direction(H, g), dense) < 1e-10
+    g = problem.grad(s)
+    L, K, _ = _dense_maps(market, agent)
+    tree = market.tree
+    pw = tree.probabilities() * np.exp(-agent.rho * tree.depth)
+    d = pw * agent.gamma * s ** (-agent.gamma - 1.0)
+    dense = np.linalg.solve((L @ K).T @ (d[:, None] * (L @ K)), g)
+    assert _rel(_newton_direction(problem, problem.hess(s, g)), dense) < 1e-10
+
+
+def _solve_calls(monkeypatch):
+    """Record the number of stacked systems of every numpy.linalg.solve call."""
+    calls, solve = [], np.linalg.solve
+
+    def counted(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
 
 
 def test_singular_newton_system_stops_newton(monkeypatch):
     market, agent = next(_general_instances())
+    assemble = _Problem.hess
 
-    def zero_hessian(self, s):
-        m = self.n_theta
-        return sparse.csc_array((m, m))
+    def zero_blocks(self, s, g):
+        diag, off = assemble(self, s, g)
+        diag[:], off[:] = 0.0, 0.0
+        return diag, off
 
-    monkeypatch.setattr(_Problem, "hess", zero_hessian)
+    monkeypatch.setattr(_Problem, "hess", zero_blocks)
+    calls = _solve_calls(monkeypatch)
     with pytest.raises(ConvergenceError, match="singular Newton system"):
         solve_consumption(market, agent)
+    assert len(calls) == 1           # the deepest atoms' blocks, in the first step
+
+
+def test_singular_block_mid_sweep_stops_newton(monkeypatch):
+    # zero the depth-1 diagonal blocks and every block coupling depth 1 with
+    # deeper atoms: depth 2 eliminates normally, then depth 1's blocks
+    # receive no update and stay singular
+    rng = np.random.default_rng(98)
+    tree = gi.random_tree(rng, min_depth=3)
+    market = gi.random_general_market(rng, tree)
+    agent = gi.random_agent(rng, tree)
+    assert tree.horizon == 3
+    assemble = _Problem.hess
+
+    def singular_depth_1(self, s, g):
+        diag, off = assemble(self, s, g)
+        diag[tree.depth_nodes[1]] = 0.0
+        off[tree.depth_nodes[2], :, :self.r_max] = 0.0      # depth 2's parent blocks
+        return diag, off
+
+    monkeypatch.setattr(_Problem, "hess", singular_depth_1)
+    calls = _solve_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match="singular Newton system"):
+        solve_consumption(market, agent)
+    assert calls == [len(tree.depth_nodes[2]), len(tree.depth_nodes[1])]
 
 
 def test_incomplete_solve_at_scale():
