@@ -184,15 +184,15 @@ class _Problem:
         # touches one root path, so -H = LK^T diag(d) LK couples an atom's
         # coordinates only with its own and with those of its ancestors at
         # most `reach` generations up.  Atom a (a node above the leaves)
-        # owns r_max rows in two block arrays: its diagonal block -H(a, a)
-        # (rows past its rank get an identity diagonal), and
-        # [-H(a, anc_1(a)) | ... | -H(a, anc_reach(a)) | g].  Each pair (e, f)
-        # of entries in one row of LK, f's atom an ancestor of (or equal to)
-        # e's, adds into one position of the two arrays, stored back to back.
+        # owns one row of the block array: its diagonal block -H(a, a) (rows
+        # past its rank get an identity diagonal), then
+        # [-H(a, anc_1(a)) | ... | -H(a, anc_reach(a)) | g], each row-major.
+        # Each pair (e, f) of entries in one row of LK, f's atom an ancestor
+        # of (or equal to) e's, adds into one position of that array.
         n_atoms = tree.n_upto(T - 1)
         r = self.r_max = int(rank.max(initial=0))
-        self._theta_row = atom * r + np.arange(m) - first_col[atom]
-        col_row = self._theta_row[LK.indices]
+        slot = np.arange(m) - first_col[atom]
+        self._theta_row = atom * r + slot          # theta's rows of the (atoms, r) solution
         per_row = np.diff(LK.indptr)
         rows = np.repeat(np.arange(n), per_row)
         reps = per_row[rows]                        # pairs that start at entry e
@@ -201,30 +201,48 @@ class _Problem:
         gap = tree.depth[atom[LK.indices[e]]] - tree.depth[atom[LK.indices[f]]]
         e, f, gap = e[gap >= 0], f[gap >= 0], gap[gap >= 0]
         R = self.reach = int(gap.max(initial=0))
-        n_diag, width = n_atoms * r * r, R * r + 1
-        self._blk_pos = np.where(gap == 0, col_row[e] * r + col_row[f] % r,
-                                 n_diag + col_row[e] * width + (gap - 1) * r + col_row[f] % r)
+        width = R * r + 1                           # ancestor blocks and g
+        c = r * r + r * width                       # one atom's row
+        ce, cf = LK.indices[e], LK.indices[f]
+        self._blk_pos = atom[ce] * c + slot[cf] + np.where(
+            gap == 0, slot[ce] * r, r * r + slot[ce] * width + (gap - 1) * r)
         self._blk_per_row = np.bincount(rows[e], minlength=n)     # pairs in row order
         self._blk_w = LK.data[e] * LK.data[f]
-        self._blk_shapes = (n_atoms, r, r), (n_atoms, r, width)
-        self._g_pos = n_diag + self._theta_row * width + width - 1
+        self._blk_shape = n_atoms, c
+        self._g_pos = atom * c + r * r + slot * width + width - 1
         pad_atom, pad_slot = np.nonzero(np.arange(r) >= rank[:n_atoms, None])
-        self._pad_pos = (pad_atom * r + pad_slot) * r + pad_slot
-        # the elimination order, deepest atoms first: per depth the atoms'
-        # range, their ancestors up to q = min(reach, depth) generations as
-        # an (atoms, q) array, and per generation the ancestors' range and
-        # where each one's descendants start.  Breadth-first order keeps
-        # those descendants contiguous, and every node above the leaves has
-        # children, so the segments match the ancestors one to one.
+        self._pad_pos = pad_atom * c + pad_slot * (r + 1)
+        # the elimination order, deepest atoms first.  Per depth: the atoms'
+        # range; their ancestors up to q = min(reach, depth) generations,
+        # (atoms, q); the slice of the block array that holds those
+        # ancestors' rows; and where each entry of the depth's Schur update
+        # A^T [Z_1 .. Z_R | y] (A = the atoms' ancestor blocks, Z and y their
+        # solves) lands in that slice.  Generation i+1 takes rows i*r.. of
+        # the update: its Z_{i+1} columns into the ancestor's diagonal
+        # block, Z_{i+2} .. Z_R into its ancestor blocks, y into its g; the
+        # Z_1 .. Z_i columns, and generations above the root, land in one
+        # discarded position past the slice.
+        i, p, col = np.ix_(np.arange(R), np.arange(r), np.arange(width))
+        j, s = col // r, col % r
+        to = np.where(col == width - 1, r * r + p * width + width - 1,
+                      np.where(j == i, p * r + s, r * r + p * width + (j - i - 1) * r + s))
         self._sweep = []
         for k in range(T - 1, -1, -1):
             lo, hi = tree.n_upto(k - 1), tree.n_upto(k)
-            anc, ups = [np.arange(lo, hi)], []
-            for _ in range(min(R, k)):
+            q = min(R, k)
+            if q == 0:
+                self._sweep.append((lo, hi, None, None, None))
+                continue
+            anc = [tree.parent[lo:hi]]
+            for _ in range(q - 1):
                 anc.append(tree.parent[anc[-1]])
-                ups.append((anc[-1][0], anc[-1][-1] + 1,
-                            np.flatnonzero(np.diff(anc[-1], prepend=-1))))
-            self._sweep.append((lo, hi, np.stack(anc[1:], axis=1) if ups else None, ups))
+            anc = np.stack(anc, axis=1)
+            first = tree.n_upto(k - q - 1)
+            size = (tree.n_upto(k - 1) - first) * c
+            gen = np.pad(anc, ((0, 0), (0, R - q)), constant_values=-1)[:, :, None, None]
+            pos = np.where((gen >= 0) & (j >= i), (gen - first) * c + to, size)
+            self._sweep.append((lo, hi, anc, slice(first * c, first * c + size),
+                                pos.reshape(-1)))
 
     def consumption(self, theta: np.ndarray) -> np.ndarray:
         return self.base + self.K @ theta
@@ -247,50 +265,53 @@ class _Problem:
     def grad(self, s: np.ndarray) -> np.ndarray:
         return self.LKT @ (self.pw * s ** (-self.gamma))
 
-    def hess(self, s: np.ndarray, g: np.ndarray):
+    def hess(self, s: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The Newton system -H d = g at surplus s and gradient g, as the
-        tree-sparse blocks (diagonal blocks (atoms, r_max, r_max), and
-        ancestor blocks with g (atoms, r_max, reach r_max + 1)) that
-        :func:`_newton_direction` eliminates."""
-        diag_shape, off_shape = self._blk_shapes
-        n_diag = math.prod(diag_shape)
+        tree-sparse block array (atoms, r_max^2 + r_max (reach r_max + 1))
+        that :func:`_newton_direction` eliminates: per atom its diagonal
+        block, then its ancestor blocks and g, each row-major."""
         d = self.pw * self.gamma * s ** (-self.gamma - 1.0)
         blocks = np.bincount(self._blk_pos, weights=self._blk_w * np.repeat(d, self._blk_per_row),
-                             minlength=n_diag + math.prod(off_shape))
+                             minlength=math.prod(self._blk_shape))
         blocks[self._pad_pos] = 1.0
         blocks[self._g_pos] = g
-        return blocks[:n_diag].reshape(diag_shape), blocks[n_diag:].reshape(off_shape)
+        return blocks.reshape(self._blk_shape)
 
 
-def _newton_direction(problem: _Problem, blocks) -> np.ndarray:
+def _block_views(problem: _Problem, blocks: np.ndarray):
+    """The diagonal blocks (atoms, r, r) and the [ancestor blocks | g] rows
+    (atoms, r, reach r + 1) of a block array, as views."""
+    r = problem.r_max
+    return (blocks[:, :r * r].reshape(-1, r, r, copy=False),
+            blocks[:, r * r:].reshape(-1, r, problem.reach * r + 1, copy=False))
+
+
+def _newton_direction(problem: _Problem, blocks: np.ndarray) -> np.ndarray:
     """Solve the Newton system from :meth:`_Problem.hess` by block
     elimination on the tree.  Atoms go deepest first, each depth one stacked
     solve of its diagonal blocks against [ancestor blocks | g] and one
-    stacked product for the Schur updates, summed onto each ancestor's
-    blocks in place; eliminating an atom only updates blocks between its
+    stacked product for the Schur updates, scattered onto the ancestors'
+    rows in place; eliminating an atom only updates blocks between its
     ancestors, so there is no fill.  Back substitution then runs top-down.
     Raises numpy.linalg.LinAlgError on an exactly singular diagonal block."""
-    diag, off = blocks
     r, R = problem.r_max, problem.reach
+    diag, off = _block_views(problem, blocks)
+    flat = blocks.reshape(-1)
     solved = []
-    for lo, hi, _, ups in problem._sweep:
+    for lo, hi, anc, window, pos in problem._sweep:
         S = np.linalg.solve(diag[lo:hi], off[lo:hi])        # [Z_1 .. Z_R | y]
         solved.append(S)
-        if ups:
+        if anc is not None:
             U = np.matmul(off[lo:hi, :, :R * r].transpose(0, 2, 1), S)
-            for i, (p_lo, p_hi, starts) in enumerate(ups):
-                # generation i+1 takes A(a, anc)^T [Z_{i+1} .. Z_R | y]
-                red = np.add.reduceat(U[:, i * r:(i + 1) * r], starts, axis=0)
-                diag[p_lo:p_hi] -= red[:, :, i * r:(i + 1) * r]
-                off[p_lo:p_hi, :, :(R - i - 1) * r] -= red[:, :, (i + 1) * r:R * r]
-                off[p_lo:p_hi, :, -1] -= red[:, :, -1]
+            flat[window] -= np.bincount(pos, weights=U.reshape(-1),
+                                        minlength=window.stop - window.start + 1)[:-1]
     x = np.empty(diag.shape[:2])
-    for (lo, hi, anc, ups), S in zip(reversed(problem._sweep), reversed(solved)):
-        if ups:
-            q = len(ups) * r
-            x[lo:hi] = S[:, :, -1] - np.matmul(S[:, :, :q], x[anc].reshape(hi - lo, q, 1))[:, :, 0]
-        else:
+    for (lo, hi, anc, _, _), S in zip(reversed(problem._sweep), reversed(solved)):
+        if anc is None:
             x[lo:hi] = S[:, :, -1]
+        else:
+            q = anc.shape[1] * r
+            x[lo:hi] = S[:, :, -1] - np.matmul(S[:, :, :q], x[anc].reshape(hi - lo, q, 1))[:, :, 0]
     return x.reshape(-1)[problem._theta_row]
 
 

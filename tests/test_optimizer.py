@@ -24,6 +24,7 @@ from habitree.errors import ConvergenceError, InfeasibleProblemError
 from habitree.market import habit_adjoint
 import habitree.optimizer as optimizer
 from habitree.optimizer import (
+    _block_views,
     _interior_start,
     _newton_direction,
     _phase1_interior,
@@ -576,9 +577,9 @@ def test_singular_newton_system_stops_newton(monkeypatch):
     assemble = _Problem.hess
 
     def zero_blocks(self, s, g):
-        diag, off = assemble(self, s, g)
-        diag[:], off[:] = 0.0, 0.0
-        return diag, off
+        blocks = assemble(self, s, g)
+        blocks[:] = 0.0
+        return blocks
 
     monkeypatch.setattr(_Problem, "hess", zero_blocks)
     calls = _solve_calls(monkeypatch)
@@ -599,10 +600,11 @@ def test_singular_block_mid_sweep_stops_newton(monkeypatch):
     assemble = _Problem.hess
 
     def singular_depth_1(self, s, g):
-        diag, off = assemble(self, s, g)
+        blocks = assemble(self, s, g)
+        diag, off = _block_views(self, blocks)
         diag[tree.depth_nodes[1]] = 0.0
         off[tree.depth_nodes[2], :, :self.r_max] = 0.0      # depth 2's parent blocks
-        return diag, off
+        return blocks
 
     monkeypatch.setattr(_Problem, "hess", singular_depth_1)
     calls = _solve_calls(monkeypatch)
