@@ -39,7 +39,7 @@ route."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -183,16 +183,18 @@ class _Problem:
         # The Newton system -H d = g in tree-sparse blocks.  A row of LK
         # touches one root path, so -H = LK^T diag(d) LK couples an atom's
         # coordinates only with its own and with those of its ancestors at
-        # most `reach` generations up.  Atom a (a node above the leaves)
-        # owns one row of the block array: its diagonal block -H(a, a) (rows
-        # past its rank get an identity diagonal), then
-        # [-H(a, anc_1(a)) | ... | -H(a, anc_reach(a)) | g], each row-major.
+        # most `reach` generations up.  The atoms of one depth are
+        # independent, and are split into classes that share a block shape:
+        # within a depth, ranks are bucketed from the top so that each
+        # bucket's ranks lie within a factor of two, and a class is the
+        # atoms with equal buckets for themselves and each ancestor.  A
+        # class of rank r whose ancestors' ranks reach w_1 .. w_q owns one
+        # r x (r + w_1 + .. + w_q + 1) row-major matrix per atom,
+        # [-H(a, a) | -H(a, anc_1(a)) | .. | -H(a, anc_q(a)) | g], rows and
+        # columns past a rank being zero except for an identity diagonal.
         # Each pair (e, f) of entries in one row of LK, f's atom an ancestor
-        # of (or equal to) e's, adds into one position of that array.
+        # of (or equal to) e's, adds into one position of the block array.
         n_atoms = tree.n_upto(T - 1)
-        r = self.r_max = int(rank.max(initial=0))
-        slot = np.arange(m) - first_col[atom]
-        self._theta_row = atom * r + slot          # theta's rows of the (atoms, r) solution
         per_row = np.diff(LK.indptr)
         rows = np.repeat(np.arange(n), per_row)
         reps = per_row[rows]                        # pairs that start at entry e
@@ -201,48 +203,84 @@ class _Problem:
         gap = tree.depth[atom[LK.indices[e]]] - tree.depth[atom[LK.indices[f]]]
         e, f, gap = e[gap >= 0], f[gap >= 0], gap[gap >= 0]
         R = self.reach = int(gap.max(initial=0))
-        width = R * r + 1                           # ancestor blocks and g
-        c = r * r + r * width                       # one atom's row
+        anc = np.empty((n_atoms, R + 1), dtype=np.int64)      # anc[:, i]: i generations up
+        anc[:, 0] = np.arange(n_atoms)
+        for i in range(1, R + 1):
+            anc[:, i] = tree.parent[np.maximum(anc[:, i - 1], 0)]
+        bucket = np.zeros(n_atoms, dtype=np.int64)
+        for k in range(T):
+            nodes = tree.depth_nodes[k]
+            top, b = 0, -1
+            for rk in np.unique(rank[nodes])[::-1]:
+                if 2 * rk < top or b < 0:
+                    top, b = rk, b + 1
+                bucket[nodes[rank[nodes] == rk]] = b
+        # per atom: its class's rank r, row width, and where the block of
+        # each generation gap starts in the row
+        row_r, wid = np.zeros(n_atoms, dtype=np.int64), np.zeros(n_atoms, dtype=np.int64)
+        col0 = np.zeros((n_atoms, R + 1), dtype=np.int64)
+        classes = []                                # (depth, atoms, w), root first
+        for k in range(T):
+            nodes = tree.depth_nodes[k]
+            q = min(R, k)
+            _, label = np.unique(bucket[anc[nodes, :q + 1]], axis=0, return_inverse=True)
+            for j in range(label.max(initial=-1) + 1):
+                atoms = nodes[label.reshape(-1) == j]
+                w = rank[anc[atoms, :q + 1]].max(axis=0)           # w[0] = the class's r
+                row_r[atoms], wid[atoms] = w[0], w.sum() + 1
+                col0[atoms, 1:q + 1] = w[0] + np.cumsum(w[1:]) - w[1:]
+                classes.append((k, atoms, w))
+        size = row_r * wid
+        row0 = np.zeros(n_atoms, dtype=np.int64)    # classes in order, root first
+        order = np.concatenate([atoms for _, atoms, _ in classes])
+        row0[order] = np.cumsum(size[order]) - size[order]
+        depth0 = np.concatenate([[0], np.cumsum(np.bincount(tree.depth[:n_atoms], weights=size,
+                                                             minlength=T))]).astype(np.int64)
+        slot = np.arange(m) - first_col[atom]
         ce, cf = LK.indices[e], LK.indices[f]
-        self._blk_pos = atom[ce] * c + slot[cf] + np.where(
-            gap == 0, slot[ce] * r, r * r + slot[ce] * width + (gap - 1) * r)
+        ae = atom[ce]
+        self._blk_pos = row0[ae] + slot[ce] * wid[ae] + col0[ae, gap] + slot[cf]
         self._blk_per_row = np.bincount(rows[e], minlength=n)     # pairs in row order
         self._blk_w = LK.data[e] * LK.data[f]
-        self._blk_shape = n_atoms, c
-        self._g_pos = atom * c + r * r + slot * width + width - 1
-        pad_atom, pad_slot = np.nonzero(np.arange(r) >= rank[:n_atoms, None])
-        self._pad_pos = pad_atom * c + pad_slot * (r + 1)
-        # the elimination order, deepest atoms first.  Per depth: the atoms'
-        # range; their ancestors up to q = min(reach, depth) generations,
-        # (atoms, q); the slice of the block array that holds those
-        # ancestors' rows; and where each entry of the depth's Schur update
-        # A^T [Z_1 .. Z_R | y] (A = the atoms' ancestor blocks, Z and y their
-        # solves) lands in that slice.  Generation i+1 takes rows i*r.. of
-        # the update: its Z_{i+1} columns into the ancestor's diagonal
-        # block, Z_{i+2} .. Z_R into its ancestor blocks, y into its g; the
-        # Z_1 .. Z_i columns, and generations above the root, land in one
-        # discarded position past the slice.
-        i, p, col = np.ix_(np.arange(R), np.arange(r), np.arange(width))
-        j, s = col // r, col % r
-        to = np.where(col == width - 1, r * r + p * width + width - 1,
-                      np.where(j == i, p * r + s, r * r + p * width + (j - i - 1) * r + s))
+        self._blk_size = int(size.sum())
+        self._g_pos = row0[atom] + slot * wid[atom] + wid[atom] - 1
+        n_pad = row_r - rank[:n_atoms]
+        pad_atom = np.repeat(np.arange(n_atoms), n_pad)
+        pad_slot = rank[pad_atom] + np.arange(len(pad_atom)) - np.repeat(np.cumsum(n_pad) - n_pad, n_pad)
+        self._pad_pos = row0[pad_atom] + pad_slot * (wid[pad_atom] + 1)
+        # the elimination order, deepest classes first.  Per class: its
+        # slice of the block array; theta's index of each row (m + 1 for a
+        # padded row); and, below the root, the window of its ancestors'
+        # rows, where each entry of its Schur update A^T [Z_1 .. Z_q | y]
+        # lands in that window (A = the ancestor blocks, Z and y their
+        # solves), and theta's index of each ancestor coordinate (m for a
+        # padded one, which stays 0).  Row block i+1 of the update (ancestor
+        # anc_{i+1}) takes its Z_{i+1} columns into that ancestor's diagonal
+        # block, Z_{i+2} .. Z_q into its ancestor blocks and y into its g;
+        # the Z_1 .. Z_i columns and padded rows and columns land in one
+        # discarded position past the window.
         self._sweep = []
-        for k in range(T - 1, -1, -1):
-            lo, hi = tree.n_upto(k - 1), tree.n_upto(k)
-            q = min(R, k)
+        for k, atoms, w in reversed(classes):
+            r, q = int(w[0]), len(w) - 1
+            seg = slice(int(row0[atoms[0]]), int(row0[atoms[0]] + len(atoms) * size[atoms[0]]))
+            p = np.arange(r)
+            theta = np.where(p < rank[atoms, None], first_col[atoms, None] + p, m + 1)
             if q == 0:
-                self._sweep.append((lo, hi, None, None, None))
+                self._sweep.append(_Class(k, atoms, r, seg, theta, None, None, None))
                 continue
-            anc = [tree.parent[lo:hi]]
-            for _ in range(q - 1):
-                anc.append(tree.parent[anc[-1]])
-            anc = np.stack(anc, axis=1)
-            first = tree.n_upto(k - q - 1)
-            size = (tree.n_upto(k - 1) - first) * c
-            gen = np.pad(anc, ((0, 0), (0, R - q)), constant_values=-1)[:, :, None, None]
-            pos = np.where((gen >= 0) & (j >= i), (gen - first) * c + to, size)
-            self._sweep.append((lo, hi, anc, slice(first * c, first * c + size),
-                                pos.reshape(-1)))
+            gen = np.repeat(np.arange(q), w[1:])                  # ancestor generation - 1
+            sl = np.arange(len(gen)) - np.repeat(np.cumsum(w[1:]) - w[1:], w[1:])
+            up = anc[atoms][:, 1 + gen]                           # (atoms, sum w)
+            live = sl < rank[up]
+            gather = np.where(live, first_col[up] + sl, m)
+            lo, hi = depth0[k - q], depth0[k]
+            I = up[:, :, None]
+            to = col0[I, np.maximum(gen[None, None, :] - gen[None, :, None], 0)] + sl[None, None, :]
+            to = np.where(live[:, :, None] & live[:, None, :]
+                          & (gen[None, None, :] >= gen[None, :, None]), to, -1)
+            to = np.concatenate([to, np.where(live, wid[up] - 1, -1)[:, :, None]], axis=2)
+            pos = np.where(to >= 0, row0[I] + sl[None, :, None] * wid[I] + to - lo, hi - lo)
+            self._sweep.append(_Class(k, atoms, r, seg, theta, slice(lo, hi), pos.reshape(-1), gather))
 
     def consumption(self, theta: np.ndarray) -> np.ndarray:
         return self.base + self.K @ theta
@@ -267,52 +305,63 @@ class _Problem:
 
     def hess(self, s: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The Newton system -H d = g at surplus s and gradient g, as the
-        tree-sparse block array (atoms, r_max^2 + r_max (reach r_max + 1))
-        that :func:`_newton_direction` eliminates: per atom its diagonal
-        block, then its ancestor blocks and g, each row-major."""
+        flat tree-sparse block array that :func:`_newton_direction`
+        eliminates: class by class, root first, one row-major
+        [diagonal block | ancestor blocks | g] matrix per atom."""
         d = self.pw * self.gamma * s ** (-self.gamma - 1.0)
         blocks = np.bincount(self._blk_pos, weights=self._blk_w * np.repeat(d, self._blk_per_row),
-                             minlength=math.prod(self._blk_shape))
+                             minlength=self._blk_size)
         blocks[self._pad_pos] = 1.0
         blocks[self._g_pos] = g
-        return blocks.reshape(self._blk_shape)
+        return blocks
 
 
-def _block_views(problem: _Problem, blocks: np.ndarray):
-    """The diagonal blocks (atoms, r, r) and the [ancestor blocks | g] rows
-    (atoms, r, reach r + 1) of a block array, as views."""
-    r = problem.r_max
-    return (blocks[:, :r * r].reshape(-1, r, r, copy=False),
-            blocks[:, r * r:].reshape(-1, r, problem.reach * r + 1, copy=False))
+class _Class(NamedTuple):
+    """Same-depth atoms whose Newton blocks share one shape (see
+    :class:`_Problem`)."""
+
+    depth: int
+    atoms: np.ndarray
+    r: int                              # rows per atom
+    seg: slice                          # its part of the block array
+    theta: np.ndarray                   # theta's index of each row, m + 1 if padded
+    window: Optional[slice]             # its ancestors' part of the block array
+    pos: Optional[np.ndarray]           # where its Schur update lands in the window
+    gather: Optional[np.ndarray]        # theta's index of each ancestor coordinate, m if padded
+
+
+def _block_views(cls: _Class, blocks: np.ndarray):
+    """One class's diagonal blocks (atoms, r, r) and [ancestor blocks | g]
+    rows (atoms, r, width) in a block array, as views."""
+    rows = blocks[cls.seg].reshape(len(cls.atoms), cls.r, -1)
+    return rows[:, :, :cls.r], rows[:, :, cls.r:]
 
 
 def _newton_direction(problem: _Problem, blocks: np.ndarray) -> np.ndarray:
     """Solve the Newton system from :meth:`_Problem.hess` by block
-    elimination on the tree.  Atoms go deepest first, each depth one stacked
-    solve of its diagonal blocks against [ancestor blocks | g] and one
-    stacked product for the Schur updates, scattered onto the ancestors'
+    elimination on the tree.  Atoms go deepest first, each class one
+    stacked solve of its diagonal blocks against [ancestor blocks | g] and
+    one stacked product for the Schur updates, scattered onto the ancestors'
     rows in place; eliminating an atom only updates blocks between its
     ancestors, so there is no fill.  Back substitution then runs top-down.
     Raises numpy.linalg.LinAlgError on an exactly singular diagonal block."""
-    r, R = problem.r_max, problem.reach
-    diag, off = _block_views(problem, blocks)
-    flat = blocks.reshape(-1)
     solved = []
-    for lo, hi, anc, window, pos in problem._sweep:
-        S = np.linalg.solve(diag[lo:hi], off[lo:hi])        # [Z_1 .. Z_R | y]
+    for cls in problem._sweep:
+        diag, off = _block_views(cls, blocks)
+        S = np.linalg.solve(diag, off)                      # [Z_1 .. Z_q | y]
         solved.append(S)
-        if anc is not None:
-            U = np.matmul(off[lo:hi, :, :R * r].transpose(0, 2, 1), S)
-            flat[window] -= np.bincount(pos, weights=U.reshape(-1),
-                                        minlength=window.stop - window.start + 1)[:-1]
-    x = np.empty(diag.shape[:2])
-    for (lo, hi, anc, _, _), S in zip(reversed(problem._sweep), reversed(solved)):
-        if anc is None:
-            x[lo:hi] = S[:, :, -1]
-        else:
-            q = anc.shape[1] * r
-            x[lo:hi] = S[:, :, -1] - np.matmul(S[:, :, :q], x[anc].reshape(hi - lo, q, 1))[:, :, 0]
-    return x.reshape(-1)[problem._theta_row]
+        if cls.window is not None:
+            U = np.matmul(off[:, :, :-1].transpose(0, 2, 1), S)
+            blocks[cls.window] -= np.bincount(cls.pos, weights=U.reshape(-1),
+                                              minlength=cls.window.stop - cls.window.start + 1)[:-1]
+    m = problem.n_theta
+    x = np.zeros(m + 2)            # x[m] stays 0 for padded ancestor coordinates
+    for cls, S in zip(reversed(problem._sweep), reversed(solved)):
+        y = S[:, :, -1]
+        if cls.gather is not None:
+            y = y - np.matmul(S[:, :, :-1], x[cls.gather][:, :, None])[:, :, 0]
+        x[cls.theta] = y
+    return x[:m]
 
 
 def _phase1_interior(problem: _Problem):

@@ -21,7 +21,7 @@ from habitree import (
     static_habit_matrix,
 )
 from habitree.errors import ConvergenceError, InfeasibleProblemError
-from habitree.market import habit_adjoint
+from habitree.market import Asset, MarketSpec, habit_adjoint
 import habitree.optimizer as optimizer
 from habitree.optimizer import (
     _block_views,
@@ -534,6 +534,49 @@ def _uneven_rank_instance():
     return market, gi.random_agent(rng, tree)
 
 
+def _wide_atom_instance():
+    """A root with eight children and enough assets to span them, above
+    ternary subtrees where only the bond and one asset trade: the root has
+    rank 8 and every other atom rank 2."""
+    rng = np.random.default_rng(97)
+    edges = [("r", None, 1.0)] + [(f"{i}", "r", 0.125) for i in range(8)]
+    for parent in [f"{i}" for i in range(8)] + [f"{i}.{j}" for i in range(8) for j in range(3)]:
+        edges += [(f"{parent}.{j}", parent, 1.0 / 3.0) for j in range(3)]
+    tree = EventTree.from_edges(edges, 3)
+    base = gi.random_general_market(rng, tree)
+    M, ones = base.spd.values, tree.depth_nodes[1]
+    bank = np.ones(tree.n_nodes)
+    for k in range(1, 4):
+        nodes = tree.depth_nodes[k]
+        bank[nodes] = bank[tree.parent[nodes]] * (1.0 + base.interest.values[nodes])
+    extra = []
+    for j in range(6):      # a dividend at depth 1, then worth the bank account
+        div = np.zeros(tree.n_nodes)
+        div[ones] = rng.uniform(0.2, 1.0, size=len(ones))
+        price = bank.copy()
+        price[0] = np.sum(tree.trans_prob[ones] * M[ones] * (bank[ones] + div[ones])) / M[0]
+        extra.append(Asset(f"x{j}", AdaptedProcess(tree, 3, price), AdaptedProcess(tree, 3, div)))
+    market = MarketSpec(tree, base.assets + tuple(extra), base.interest)
+    return market, gi.random_agent(rng, tree, static=True)
+
+
+def _exact_block_size(problem, market):
+    """Entries of the Newton blocks with no padding: each atom's rank times
+    its own, its ancestors' (up to the reach) and one more column."""
+    tree = market.tree
+    rank = np.zeros(tree.n_nodes, dtype=int)
+    for k in range(1, tree.horizon + 1):
+        for g in market.basis_groups(k):
+            rank[tree.n_upto(k - 2) + g.atoms] = g.rank
+    total = 0
+    for a in range(tree.n_upto(tree.horizon - 1)):
+        width, u = 1, a
+        for _ in range(min(problem.reach, tree.depth[a]) + 1):
+            width, u = width + rank[u], tree.parent[u]
+        total += rank[a] * width
+    return total
+
+
 def test_direction_instances_reach_every_ancestor_and_pad_ranks():
     market, agent = _full_memory_instance()
     problem = _Problem(market, agent, agent.endowment.values)
@@ -541,11 +584,32 @@ def test_direction_instances_reach_every_ancestor_and_pad_ranks():
     market, agent = _uneven_rank_instance()
     ranks = {g.rank for k in range(1, market.tree.horizon + 1) for g in market.basis_groups(k)}
     assert not market.is_complete() and len(ranks) >= 3
-    assert _Problem(market, agent, agent.endowment.values).r_max == max(ranks)
+    problem = _Problem(market, agent, agent.endowment.values)
+    # some depth holds atoms of ranks 3 and 1 (two classes) and some class
+    # pads a rank-2 atom to 3 rows
+    depths = [cls.depth for cls in problem._sweep]
+    assert len(set(depths)) < len(depths)
+    assert any(cls.r == 3 and len(cls.theta) and np.any(cls.theta == problem.n_theta + 1)
+               for cls in problem._sweep)
+
+
+def test_block_array_scales_with_each_atoms_rank():
+    # one wide, high-rank atom pads no other atom's blocks
+    market, agent = _wide_atom_instance()
+    problem = _Problem(market, agent, agent.endowment.values)
+    ranks = sorted({g.rank for k in range(1, 4) for g in market.basis_groups(k)})
+    assert ranks == [2, 8] and not market.is_complete()
+    assert problem._blk_size == _exact_block_size(problem, market)
+    # uneven ranks pad each block dimension at most twofold
+    market, agent = _uneven_rank_instance()
+    problem = _Problem(market, agent, agent.endowment.values)
+    assert _exact_block_size(problem, market) < problem._blk_size \
+        <= 4 * _exact_block_size(problem, market)
 
 
 @pytest.mark.parametrize("market,agent", list(_general_instances())
-                         + [_full_memory_instance(), _uneven_rank_instance()])
+                         + [_full_memory_instance(), _uneven_rank_instance(),
+                            _wide_atom_instance()])
 def test_sparse_newton_direction_matches_dense_solve(market, agent):
     # the oracle: -H = (L K)^T diag(d) (L K) from the dense per-column maps
     assert not market.is_complete()
@@ -585,7 +649,7 @@ def test_singular_newton_system_stops_newton(monkeypatch):
     calls = _solve_calls(monkeypatch)
     with pytest.raises(ConvergenceError, match="singular Newton system"):
         solve_consumption(market, agent)
-    assert len(calls) == 1           # the deepest atoms' blocks, in the first step
+    assert len(calls) == 1           # the deepest class's blocks, in the first step
 
 
 def test_singular_block_mid_sweep_stops_newton(monkeypatch):
@@ -601,9 +665,12 @@ def test_singular_block_mid_sweep_stops_newton(monkeypatch):
 
     def singular_depth_1(self, s, g):
         blocks = assemble(self, s, g)
-        diag, off = _block_views(self, blocks)
-        diag[tree.depth_nodes[1]] = 0.0
-        off[tree.depth_nodes[2], :, :self.r_max] = 0.0      # depth 2's parent blocks
+        for cls in self._sweep:
+            diag, off = _block_views(cls, blocks)
+            if cls.depth == 1:
+                diag[:] = 0.0
+            if cls.depth == 2:
+                off[:, :, :-1] = 0.0        # every block with an ancestor
         return blocks
 
     monkeypatch.setattr(_Problem, "hess", singular_depth_1)
