@@ -223,9 +223,12 @@ class _Problem:
         for k in range(T):
             nodes = tree.depth_nodes[k]
             q = min(R, k)
-            _, label = np.unique(bucket[anc[nodes, :q + 1]], axis=0, return_inverse=True)
-            for j in range(label.max(initial=-1) + 1):
-                atoms = nodes[label.reshape(-1) == j]
+            keys = bucket[anc[nodes, :q + 1]]
+            order = np.lexsort(keys.T)                  # label the distinct rows of keys
+            label = np.empty(len(nodes), dtype=np.int64)
+            label[order] = np.cumsum(np.diff(keys[order], axis=0, prepend=keys[order[:1]]).any(axis=1))
+            for j in range(label.max() + 1):
+                atoms = nodes[label == j]
                 w = rank[anc[atoms, :q + 1]].max(axis=0)           # w[0] = the class's r
                 row_r[atoms], wid[atoms] = w[0], w.sum() + 1
                 col0[atoms, 1:q + 1] = w[0] + np.cumsum(w[1:]) - w[1:]
@@ -274,12 +277,11 @@ class _Problem:
             live = sl < rank[up]
             gather = np.where(live, first_col[up] + sl, m)
             lo, hi = depth0[k - q], depth0[k]
-            I = up[:, :, None]
-            to = col0[I, np.maximum(gen[None, None, :] - gen[None, :, None], 0)] + sl[None, None, :]
-            to = np.where(live[:, :, None] & live[:, None, :]
-                          & (gen[None, None, :] >= gen[None, :, None]), to, -1)
-            to = np.concatenate([to, np.where(live, wid[up] - 1, -1)[:, :, None]], axis=2)
-            pos = np.where(to >= 0, row0[I] + sl[None, :, None] * wid[I] + to - lo, hi - lo)
+            col = np.concatenate([col0[up[:, :, None], np.maximum(gen - gen[:, None], 0)] + sl,
+                                  (wid[up] - 1)[:, :, None]], axis=2)
+            keep = (live[:, :, None] & np.pad(live, ((0, 0), (0, 1)), constant_values=True)[:, None, :]
+                    & (np.append(gen, q) >= gen[:, None]))
+            pos = np.where(keep, (row0[up] + sl * wid[up] - lo)[:, :, None] + col, hi - lo)
             self._sweep.append(_Class(k, atoms, r, seg, theta, slice(lo, hi), pos.reshape(-1), gather))
 
     def consumption(self, theta: np.ndarray) -> np.ndarray:
