@@ -7,6 +7,15 @@ converge nodewise to the solution of the artificial problem with endowment
 structure) the error decays like 1/eps_0.  This module computes the
 artificial solution, runs the sweep, fits the decay rate, and checks the
 habit-chain lower floors on consumption/wealth ratios.
+
+A sweep solves the artificial problem and every grid point in one
+:func:`~habitree.optimizer.solve_endowments` call, so an incomplete market's
+maps are built once.  The optimizer normalizes each endowment to unit
+present value, and in those coordinates the grid endowments converge to
+(1, 0, ..., 0) as eps_0 grows; by the limit above, so do their optimal
+wealth coordinates, to the artificial optimum theta*.  Each grid solve
+therefore starts at theta*, which is near its optimum on the large-eps_0
+end of the grid, wherever every habit surplus is positive there.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .market import MarketSpec
-from .optimizer import AgentSpec, SolveResult, solve_consumption
+from .optimizer import FOC_TOL, AgentSpec, SolveResult, solve_consumption, solve_endowments
 from .tree import AdaptedProcess, cond_expectation_arrays
 
 
@@ -66,10 +75,17 @@ class AsymptoticsReport:
         return all(b < a for a, b in zip(errs[1:], errs[2:]))
 
 
-def propensity_sweep(market: MarketSpec, agent: AgentSpec,
-                     eps0_grid: Sequence[float]) -> AsymptoticsReport:
+def propensity_sweep(market: MarketSpec, agent: AgentSpec, eps0_grid: Sequence[float],
+                     tol: float = FOC_TOL) -> AsymptoticsReport:
     """Solve along an increasing eps_0 grid (agent's eps_1..eps_T fixed) and
     measure max-node gaps between scaled plans and the artificial solution.
+
+    The artificial problem is solved first, then every grid point, all on
+    one market problem; on an incomplete market each grid solve starts at
+    the artificial optimum theta* (the limit of the grid optima at unit
+    present value) when every habit surplus is positive there, and
+    otherwise where a lone solve would start.  Every solve must meet the
+    first-order tolerance ``tol`` (ConvergenceError otherwise).
 
     The decay rate is fitted by least squares on the log-log tail (last three
     grid points; the transient at small eps_0 contaminates the slope).
@@ -79,15 +95,15 @@ def propensity_sweep(market: MarketSpec, agent: AgentSpec,
         raise ValueError("need an increasing eps_0 grid with at least 4 points")
     if grid[-1] / grid[0] < 1e3:
         raise ValueError("grid should span at least 3 decades")
-    star = artificial_solution(market, agent)
-    tree = market.tree
-    rows = []
+    endowments = [unit_initial_endowment(agent).endowment.values]
     for e0 in grid:
         vals = agent.endowment.values.copy()
         vals[0] = e0
-        a = AgentSpec(agent.gamma, agent.rho, agent.habits.copy(),
-                      AdaptedProcess(tree, tree.horizon, vals))
-        r = solve_consumption(market, a)
+        endowments.append(vals)
+    star, *solved = solve_endowments(market, agent, endowments, tol)
+    tree = market.tree
+    rows = []
+    for e0, r in zip(grid, solved):
         err_c = float(np.max(np.abs(r.c.values / e0 - star.c.values)))
         w_nodes = slice(1, tree.n_nodes)
         err_w = float(np.max(np.abs(r.W.values[w_nodes] / e0 - star.W.values[w_nodes]))) \

@@ -171,7 +171,7 @@ def cmd_asymptotics(config: RunConfig) -> None:
     obj = _read_input(config)
     market, agent = _market_and_agent(obj)
     grid = _parse_grid(config.eps0_grid or "1e1,1e2,1e3,1e4,1e5", "eps0-grid")
-    report = propensity_sweep(market, agent, grid)
+    report = propensity_sweep(market, agent, grid, tol=config.tol or 1e-9)
     csv = _csv(report.sweep, "eps0,err_c,err_W")
     summary = {"fitted_rate": report.fitted_rate,
                "alpha_lower": [float(a) for a in report.alpha_lower],

@@ -20,9 +20,14 @@ result's ``method``:
   every habit surplus positive.  It starts at the endowment (theta = 0)
   when every habit surplus of the endowment is positive, and otherwise at
   the point of a phase-1 LP (the only use of scipy.optimize on this
-  route).  Each Newton step solves its system by block elimination along
-  the tree, deepest atoms first, since the Hessian couples an atom's
-  coordinates only with those of a few generations of its ancestors.
+  route).  ``solve_endowments`` solves several endowments under one
+  agent's preferences on one market with the maps built once, and starts
+  every solve after the first at the first one's optimum wherever every
+  habit surplus is positive there (the asymptotics sweep starts its grid
+  at the artificial optimum this way).  Each Newton step solves its
+  system by block elimination along the tree, deepest atoms first, since
+  the Hessian couples an atom's coordinates only with those of a few
+  generations of its ancestors.
   Once an iterate meets ``tol`` it takes one more Newton step, so the
   result sits at roundoff and does not depend on the start.
 
@@ -107,18 +112,20 @@ def _check_same_tree(market: MarketSpec, agent: AgentSpec) -> None:
 
 
 class _Problem:
-    """Sparse linear maps and the Newton system's block pattern for one
-    (market, agent) instance.
+    """The market x preferences part of the problem: sparse linear maps and
+    the Newton system's block pattern, shared by every endowment solved on
+    the same market with the same preferences (the agent's gamma, rho and
+    habits; its endowment is not read).  :class:`_Endowed` adds one
+    endowment.
 
     c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma),
     W = Kw theta.  K (CSC) has one column per orthonormal payoff-basis vector
     and Kw is K without each column's parent-atom entry; L, LK = L K and its
     transpose LKT are CSR.  The Hessian LK^T diag(d) LK is assembled per
     Newton step as per-atom blocks (:meth:`hess`), in a pattern fixed here.
-    All are built once.
     """
 
-    def __init__(self, market: MarketSpec, agent: AgentSpec, endowment_values: np.ndarray):
+    def __init__(self, market: MarketSpec, agent: AgentSpec):
         from scipy import sparse
 
         _check_same_tree(market, agent)
@@ -175,10 +182,8 @@ class _Problem:
         # the wealth map: K without each column's parent-atom entry
         self.Kw = sparse.csc_array((data[kids], indices[kids], indptr - np.arange(m + 1)),
                                    shape=(n, m))
-        self.base = endowment_values.copy()
         self.LK = LK = self.L @ self.K
         self.LKT = LK.T.tocsr()
-        self.Lbase = self.L @ self.base
 
         # The Newton system -H d = g in tree-sparse blocks.  A row of LK
         # touches one root path, so -H = LK^T diag(d) LK couples an atom's
@@ -284,23 +289,11 @@ class _Problem:
             pos = np.where(keep, (row0[up] + sl * wid[up] - lo)[:, :, None] + col, hi - lo)
             self._sweep.append(_Class(k, atoms, r, seg, theta, slice(lo, hi), pos.reshape(-1), gather))
 
-    def consumption(self, theta: np.ndarray) -> np.ndarray:
-        return self.base + self.K @ theta
-
-    def surplus(self, theta: np.ndarray) -> np.ndarray:
-        return self.Lbase + self.LK @ theta
-
     def wealth(self, theta: np.ndarray) -> np.ndarray:
         return self.Kw @ theta
 
     def utility(self, s) -> float:
         return np.sum(self.pw * s ** (1.0 - self.gamma)) / (1.0 - self.gamma)
-
-    def utility_theta(self, theta: np.ndarray) -> float:
-        s = self.surplus(theta)
-        if np.any(s <= 0.0):
-            return -np.inf
-        return float(self.utility(s))
 
     def grad(self, s: np.ndarray) -> np.ndarray:
         return self.LKT @ (self.pw * s ** (-self.gamma))
@@ -316,6 +309,28 @@ class _Problem:
         blocks[self._pad_pos] = 1.0
         blocks[self._g_pos] = g
         return blocks
+
+
+class _Endowed:
+    """One endowment on a :class:`_Problem`: base, the endowment at unit
+    present value, and its habit surplus Lbase = L base."""
+
+    def __init__(self, problem: _Problem, base: np.ndarray):
+        self.problem = problem
+        self.base = base
+        self.Lbase = problem.L @ base
+
+    def consumption(self, theta: np.ndarray) -> np.ndarray:
+        return self.base + self.problem.K @ theta
+
+    def surplus(self, theta: np.ndarray) -> np.ndarray:
+        return self.Lbase + self.problem.LK @ theta
+
+    def utility_theta(self, theta: np.ndarray) -> float:
+        s = self.surplus(theta)
+        if np.any(s <= 0.0):
+            return -np.inf
+        return float(self.problem.utility(s))
 
 
 class _Class(NamedTuple):
@@ -366,25 +381,25 @@ def _newton_direction(problem: _Problem, blocks: np.ndarray) -> np.ndarray:
     return x[:m]
 
 
-def _phase1_interior(problem: _Problem):
+def _phase1_interior(endowed: _Endowed):
     """LP: maximize the worst surplus over wealth coordinates.  Returns a
     strictly feasible theta or raises InfeasibleProblemError."""
     from scipy import optimize, sparse
 
-    n, m = problem.LK.shape
+    n, m = endowed.problem.LK.shape
     if m == 0:
-        s = problem.Lbase
+        s = endowed.Lbase
         if np.min(s) <= SURPLUS_FLOOR:
             raise InfeasibleProblemError("no tradeable coordinates and endowment surplus not positive")
         return np.zeros(0)
     # A_ub = [-LK, 1] as triplets (linprog hands HiGHS a copy in CSC)
-    A = sparse.coo_array(problem.LK)
+    A = sparse.coo_array(endowed.problem.LK)
     A_ub = sparse.coo_array((np.concatenate([-A.data, np.ones(n)]),
                              (np.concatenate([A.row, np.arange(n)]),
                               np.concatenate([A.col, np.full(n, m)]))), shape=(n, m + 1))
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=problem.Lbase,
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=endowed.Lbase,
                            bounds=[(None, None)] * (m + 1), method="highs")
     if not res.success:
         raise ConvergenceError(f"phase-1 LP failed: {res.message}")
@@ -474,9 +489,10 @@ def _result(market: MarketSpec, agent: AgentSpec, c: np.ndarray, W: np.ndarray,
     )
 
 
-def _result_from_theta(problem: _Problem, theta: np.ndarray, scale: float,
+def _result_from_theta(endowed: _Endowed, theta: np.ndarray, scale: float,
                        iterations: int, method: str) -> SolveResult:
-    return _result(problem.market, problem.agent, problem.consumption(theta) * scale,
+    problem = endowed.problem
+    return _result(problem.market, problem.agent, endowed.consumption(theta) * scale,
                    problem.wealth(theta) * scale, iterations, method)
 
 
@@ -528,49 +544,90 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL
     is not brought below ``tol`` (Newton names its stop: a singular Newton
     system, a failed line search, a stagnated residual or MAX_NEWTON_ITER
     iterations), SchemaError on an identically zero endowment, and
-    ValueError unless 0 < tol < inf.
+    ValueError unless 0 < tol < inf.  This is the one-endowment case of
+    :func:`solve_endowments`.
+    """
+    return solve_endowments(market, agent, [agent.endowment.values], tol)[0]
+
+
+def solve_endowments(market: MarketSpec, agent: AgentSpec, endowments,
+                     tol: float = FOC_TOL) -> list:
+    """Solve one market for each endowment in ``endowments`` (arrays of node
+    values, each checked as an agent's endowment) under the preferences of
+    ``agent`` (gamma, rho and habits; its own endowment is not read).
+
+    Each result is what :func:`solve_consumption` would give up to Newton's
+    roundoff, and the first one is exactly that.  On an incomplete market
+    the maps and the Newton block pattern are built once, and every solve
+    after the first starts at the first solve's optimal wealth coordinates
+    (in the unit-present-value normalization) when every habit surplus is
+    positive there, and otherwise at :func:`solve_consumption`'s start.
+    Raises as :func:`solve_consumption` does, at the first endowment that
+    fails.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if np.all(agent.endowment.values == 0.0):
+    tree = agent.endowment.tree
+    agents = [AgentSpec(agent.gamma, agent.rho, agent.habits, AdaptedProcess(tree, tree.horizon, e))
+              for e in endowments]
+    if any(np.all(a.endowment.values == 0.0) for a in agents):
         raise SchemaError("endowment", "endowment must not be identically zero")
     _check_same_tree(market, agent)
     if market.is_complete():
-        return _solve_complete(market, agent, tol)
-    return _solve_newton(market, agent, tol)
+        return [_solve_complete(market, a, tol) for a in agents]
+    return _solve_newton(_Problem(market, agent), agents, tol)
 
 
-def _interior_start(problem: _Problem) -> np.ndarray:
+def _interior_start(endowed: _Endowed) -> np.ndarray:
     """A strictly feasible Newton start: the endowment itself (theta = 0)
     when every habit surplus of it is positive, else the phase-1 LP's point.
     The endowment is normalized to unit present value, so the test is
     scale-free."""
-    if np.min(problem.Lbase) > SURPLUS_FLOOR:
-        return np.zeros(problem.n_theta)
-    return _phase1_interior(problem)
+    if np.min(endowed.Lbase) > SURPLUS_FLOOR:
+        return np.zeros(endowed.problem.n_theta)
+    return _phase1_interior(endowed)
 
 
-def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResult:
-    """Damped Newton over the wealth coordinates (incomplete markets).  The
+def _solve_newton(problem: _Problem, agents: list, tol: float) -> list:
+    """Damped Newton over the wealth coordinates (incomplete markets) for
+    agents with the problem's preferences, each with its own endowment.
+    The first agent starts at :func:`_interior_start`; the others start at
+    the first one's result wherever that is strictly feasible for them."""
+    M = problem.market.spd.values
+    p = problem.market.tree.probabilities()
+    results, first = [], None
+    for agent in agents:
+        pv = float(np.sum(p * M * agent.endowment.values))
+        endowed = _Endowed(problem, agent.endowment.values / pv)
+        if first is not None and np.min(endowed.surplus(first)) > SURPLUS_FLOOR:
+            theta = first
+        else:
+            theta = _interior_start(endowed)
+        theta, result = _newton(endowed, theta, pv, tol)
+        results.append(result)
+        if first is None:
+            first = theta
+    return results
+
+
+def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
+    """Damped Newton from the strictly feasible ``theta``; returns the final
+    theta and its result, scaled back by the present value ``pv``.  The
     first iterate that meets ``tol`` is held while one more Newton step is
     taken: quadratic convergence puts that step's point at roundoff, where
     it depends on the problem rather than on the path."""
-    M = market.spd.values
-    p = market.tree.probabilities()
-    pv = float(np.sum(p * M * agent.endowment.values))
-    problem = _Problem(market, agent, agent.endowment.values / pv)
-
-    theta = _interior_start(problem)
+    problem = endowed.problem
+    market, agent = problem.market, problem.agent
     met = None                    # (theta, iteration) of the first iterate below tol
     best, stalled = np.inf, 0     # best residual in the quadratic basin
     for it in range(1, MAX_NEWTON_ITER + 1):
         if met is not None:
-            result = _result_from_theta(problem, theta, pv, it, "newton")
+            result = _result_from_theta(endowed, theta, pv, it, "newton")
             if result.foc_residual < tol:
-                return result
+                return theta, result
             break
-        s = problem.surplus(theta)
-        res = _foc_residual_on(market, agent, problem.consumption(theta))
+        s = endowed.surplus(theta)
+        res = _foc_residual_on(market, agent, endowed.consumption(theta))
         if res < tol:
             met = theta, it
         g = problem.grad(s)
@@ -604,7 +661,7 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
         slope = float(g @ d)
         alpha = alpha_max
         while alpha > 1e-14:
-            u1 = problem.utility_theta(theta + alpha * d)
+            u1 = endowed.utility_theta(theta + alpha * d)
             if u1 > u0 + 1e-4 * alpha * slope:
                 theta = theta + alpha * d
                 break
@@ -614,9 +671,9 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
             break
     else:
         reason = "iteration limit reached"
-        res = _foc_residual_on(market, agent, problem.consumption(theta))
+        res = _foc_residual_on(market, agent, endowed.consumption(theta))
     if met is not None:
-        return _result_from_theta(problem, met[0], pv, met[1], "newton")
+        return met[0], _result_from_theta(endowed, met[0], pv, met[1], "newton")
     raise ConvergenceError(f"Newton stopped after {it} iterations ({reason}): "
                            f"first-order residual {res:.3e}", residual=res)
 
@@ -626,7 +683,7 @@ def _solve_newton(market: MarketSpec, agent: AgentSpec, tol: float) -> SolveResu
 BARRIER_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0)
 
 
-def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
+def _maximize_interior(endowed: _Endowed, theta0: np.ndarray) -> np.ndarray:
     """Log-barrier path following: minimize -U(theta) - mu sum(log s(theta))
     with a generic quasi-Newton method along a decreasing mu schedule, then
     polish stationarity of the pure objective with a MINPACK root find.
@@ -634,6 +691,7 @@ def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
     search; the barrier keeps the path interior."""
     from scipy import optimize
 
+    problem, Lbase = endowed.problem, endowed.Lbase
     if problem.n_theta == 0:
         return theta0
     theta = theta0.copy()
@@ -642,13 +700,13 @@ def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
     LK = problem.LK.toarray()
 
     def neg_value(t):
-        s = problem.Lbase + LK @ t
+        s = Lbase + LK @ t
         if np.min(s) <= 0.0:
             return np.inf
         return -np.sum(problem.pw * s ** (1.0 - problem.gamma)) / (1.0 - problem.gamma)
 
     def neg_grad(t, mu=0.0):
-        s = np.maximum(problem.Lbase + LK @ t, SURPLUS_FLOOR)
+        s = np.maximum(Lbase + LK @ t, SURPLUS_FLOOR)
         inner = problem.pw * s ** (-problem.gamma)
         if mu > 0.0:
             inner = inner + mu / s
@@ -661,7 +719,7 @@ def _maximize_interior(problem: _Problem, theta0: np.ndarray) -> np.ndarray:
                 base = neg_value(t)
                 if not np.isfinite(base) or mu == 0.0:
                     return base
-                s = problem.Lbase + LK @ t
+                s = Lbase + LK @ t
                 return base - mu * np.sum(np.log(s))
 
             res = optimize.minimize(fun, theta, jac=lambda t, mu=mu: neg_grad(t, mu),
@@ -691,12 +749,13 @@ def brute_force_oracle(market: MarketSpec, agent: AgentSpec) -> SolveResult:
     M = market.spd.values
     p = market.tree.probabilities()
     pv = float(np.sum(p * M * agent.endowment.values))
-    problem = _Problem(market, agent, agent.endowment.values / pv)
+    problem = _Problem(market, agent)
     if problem.n_theta > 200:
         raise ValueError(f"{problem.n_theta} decision variables exceed the oracle limit of 200")
-    theta = _phase1_interior(problem)
-    theta = _maximize_interior(problem, theta)
-    return _result_from_theta(problem, theta, pv, 0, "oracle")
+    endowed = _Endowed(problem, agent.endowment.values / pv)
+    theta = _phase1_interior(endowed)
+    theta = _maximize_interior(endowed, theta)
+    return _result_from_theta(endowed, theta, pv, 0, "oracle")
 
 
 def foc_residual(market: MarketSpec, agent: AgentSpec, result: SolveResult) -> float:

@@ -14,8 +14,9 @@ from habitree import (
     solve_consumption,
     static_habit_matrix,
 )
+import habitree.optimizer as optimizer
 from habitree.asymptotics import unit_initial_endowment
-from habitree.optimizer import SolveResult
+from habitree.optimizer import SolveResult, _Endowed, _Problem, solve_endowments
 
 
 def test_artificial_solution_merton_split():
@@ -117,6 +118,124 @@ def test_sweep_grid_validation():
         propensity_sweep(market, agent, [1.0, 2.0, 3.0])      # too few points
     with pytest.raises(ValueError):
         propensity_sweep(market, agent, [1.0, 2.0, 3.0, 4.0])  # under 3 decades
+
+
+# -- one problem per sweep, grid solves started at the artificial optimum ------------
+
+GRID = [1e1, 1e2, 1e3, 1e4, 1e5]
+
+
+def _sweep_instance(kind):
+    """A static-habit agent on a deterministic-rate class-C market or on a
+    general market.  Its unit-initial endowment and every grid endowment
+    have a negative habit surplus, so a lone solve of any of them starts at
+    the phase-1 LP; the artificial optimum is strictly feasible for every
+    grid point but the first."""
+    rng = np.random.default_rng(70)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_classC_market(rng, tree, deterministic_rate=True) if kind == "classC" \
+        else gi.random_general_market(rng, tree)
+    assert not market.is_complete()
+    return market, gi.random_agent(rng, tree, static=True)
+
+
+def _sweep_endowments(agent):
+    """The endowments a sweep over GRID solves, artificial one first."""
+    ends = [unit_initial_endowment(agent).endowment.values]
+    for e0 in GRID:
+        vals = agent.endowment.values.copy()
+        vals[0] = e0
+        ends.append(vals)
+    return ends
+
+
+def _alone(market, agent, endowment):
+    tree = market.tree
+    return solve_consumption(market, AgentSpec(agent.gamma, agent.rho, agent.habits.copy(),
+                                               AdaptedProcess(tree, tree.horizon, endowment)))
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("kind", ["classC", "general"])
+def test_sweep_solves_match_independent_solves(kind):
+    market, agent = _sweep_instance(kind)
+    ends = _sweep_endowments(agent)
+    results = solve_endowments(market, agent, ends)
+    for i, (endowment, res) in enumerate(zip(ends, results)):
+        alone = _alone(market, agent, endowment)
+        assert res.method == alone.method == "newton" and res.foc_residual < 1e-9
+        assert _rel(res.c.values, alone.c.values) < 1e-12
+        assert _rel(res.W.values, alone.W.values) < 1e-12
+        if i == 0:          # the first solve is solve_consumption's, bit for bit
+            assert np.array_equal(res.c.values, alone.c.values)
+            assert np.array_equal(res.W.values, alone.W.values)
+    # the sweep reports the gaps of exactly these solves
+    rep = propensity_sweep(market, agent, GRID)
+    star = results[0]
+    assert np.array_equal(rep.cstar.values, artificial_solution(market, agent).c.values)
+    for (e0, err_c, err_w), res in zip(rep.sweep, results[1:]):
+        assert err_c == float(np.max(np.abs(res.c.values / e0 - star.c.values)))
+        assert err_w == float(np.max(np.abs(res.W.values[1:] / e0 - star.W.values[1:])))
+
+
+@pytest.mark.parametrize("kind", ["classC", "general"])
+def test_sweep_starts_at_the_artificial_optimum_or_falls_back_to_the_lp(kind, monkeypatch):
+    market, agent = _sweep_instance(kind)
+    ends = _sweep_endowments(agent)
+    p, M = market.tree.probabilities(), market.spd.values
+    unit_pv = [e / float(np.sum(p * M * e)) for e in ends]
+    lp, phase1 = [], optimizer._phase1_interior
+
+    def spy(endowed):
+        lp.append(next(i for i, e in enumerate(unit_pv) if np.array_equal(endowed.base, e)))
+        return phase1(endowed)
+
+    monkeypatch.setattr(optimizer, "_phase1_interior", spy)
+    results = solve_endowments(market, agent, ends)
+    # the LP runs for the artificial problem and for eps_0 = 1e1, where the
+    # artificial optimum has a nonpositive surplus; every larger grid point
+    # starts at the artificial optimum
+    assert lp == [0, 1]
+    problem = _Problem(market, agent)
+    assert all(np.min(_Endowed(problem, e).Lbase) <= 0.0 for e in unit_pv)
+    lp.clear()
+    alone = _alone(market, agent, ends[-1])
+    assert lp == [len(ends) - 1]      # alone, eps_0 = 1e5 starts at the LP
+    assert results[-1].iterations < alone.iterations
+
+
+def test_sweep_builds_one_problem(monkeypatch):
+    built = []
+
+    class Counted(_Problem):
+        def __init__(self, market, agent):
+            built.append(market)
+            super().__init__(market, agent)
+
+    monkeypatch.setattr(optimizer, "_Problem", Counted)
+    market, agent = _sweep_instance("general")
+    propensity_sweep(market, agent, GRID)
+    assert built == [market]
+
+
+def test_complete_market_sweep_takes_the_closed_form(monkeypatch):
+    built = []
+    monkeypatch.setattr(optimizer, "_Problem", lambda *args: built.append(args))
+    rng = np.random.default_rng(79)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_complete_market(rng, tree)
+    agent = gi.random_agent(rng, tree, static=True)
+    ends = _sweep_endowments(agent)
+    results = solve_endowments(market, agent, ends)
+    for endowment, res in zip(ends, results):
+        alone = _alone(market, agent, endowment)
+        assert res.method == "closed-form" and res.iterations == 0
+        assert np.array_equal(res.c.values, alone.c.values)
+    rep = propensity_sweep(market, agent, GRID)
+    assert rep.errors_decreasing() and built == []
 
 
 def test_values_grow_without_bound_along_grid():

@@ -271,6 +271,24 @@ def test_cli_asymptotics(market_agent_input):
     assert "# summary:" in text
 
 
+def test_cli_asymptotics_checks_tol(tmp_path):
+    # an incomplete market, so the sweep's solves are Newton's, which meet
+    # 1e-9 but stagnate at roundoff above 1e-18
+    rng = np.random.default_rng(70)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    assert not market.is_complete()
+    obj = {"market": hio.dump_market(market),
+           "agent": {"gamma": 2.0, "rho": 0.01, "beta": 0.2,
+                     "endowment": {nid: 1.0 for nid in tree.ids}}}
+    path = write_json(tmp_path, "sweep.json", obj)
+    rc, out, err = run_cli(["asymptotics", "--input", path, "--tol", "1e-9"])
+    assert rc == 0, err
+    rc, out, err = run_cli(["asymptotics", "--input", path, "--tol", "1e-18"])
+    assert rc == 3 and out == b""
+    assert json.loads(err)["error"] == "ConvergenceError"
+
+
 def test_cli_equilibrium_and_exit_codes(tmp_path):
     econ = gi.desk_heterogeneous_economy()
     obj = {"economy": {

@@ -25,6 +25,7 @@ from habitree.market import Asset, MarketSpec, habit_adjoint
 import habitree.optimizer as optimizer
 from habitree.optimizer import (
     _block_views,
+    _Endowed,
     _interior_start,
     _newton_direction,
     _phase1_interior,
@@ -199,7 +200,8 @@ def test_phase1_reports_infeasible():
     feasibility in this market model)."""
 
     class Stub:
-        LK = np.zeros((3, 2))
+        class problem:
+            LK = np.zeros((3, 2))
         Lbase = np.array([1.0, -0.5, 1.0])
 
     with pytest.raises(InfeasibleProblemError):
@@ -308,7 +310,7 @@ def test_closed_form_matches_oracle(seed, gamma, static):
 def test_closed_form_matches_newton(seed, gamma, static):
     market, agent = _complete_instance(seed, gamma, static)
     res = solve_consumption(market, agent)
-    newton = _solve_newton(market, agent, 1e-9)
+    newton, = _solve_newton(_Problem(market, agent), [agent], 1e-9)
     assert newton.method == "newton"
     for a, b in ((newton.c, res.c), (newton.W, res.W), (newton.R, res.R)):
         assert _rel(a.values, b.values) < 1e-8
@@ -396,21 +398,26 @@ def _incomplete_instance(seed, zero_node=False):
     return market, agent
 
 
+def _endowed(market, agent):
+    """The agent's endowment, unnormalized, on a fresh problem."""
+    return _Endowed(_Problem(market, agent), agent.endowment.values)
+
+
 def test_lp_start_only_where_the_endowment_surplus_is_not_positive(monkeypatch):
     calls = []
 
-    def spy(problem):
-        calls.append(problem)
-        return _phase1_interior(problem)
+    def spy(endowed):
+        calls.append(endowed)
+        return _phase1_interior(endowed)
 
     monkeypatch.setattr(optimizer, "_phase1_interior", spy)
     positive = _incomplete_instance(66)
-    assert np.min(_Problem(*positive, positive[1].endowment.values).Lbase) > 0.0
+    assert np.min(_endowed(*positive).Lbase) > 0.0
     solve_consumption(*positive)
     assert calls == []
 
     market, agent = _incomplete_instance(66, zero_node=True)
-    assert np.min(_Problem(market, agent, agent.endowment.values).Lbase) <= 0.0
+    assert np.min(_endowed(market, agent).Lbase) <= 0.0
     res = solve_consumption(market, agent)
     assert len(calls) == 1 and res.method == "newton"
     oracle = brute_force_oracle(market, agent)
@@ -423,7 +430,7 @@ def test_solution_does_not_depend_on_the_start(monkeypatch):
     tree = gi.random_tree(rng, min_depth=2)
     market = gi.random_general_market(rng, tree)
     agent = gi.random_agent(rng, tree)
-    assert np.min(_Problem(market, agent, agent.endowment.values).Lbase) > 0.0
+    assert np.min(_endowed(market, agent).Lbase) > 0.0
     results = []
     for start in (_interior_start, _phase1_interior):
         monkeypatch.setattr(optimizer, "_interior_start", start)
@@ -503,7 +510,7 @@ def _general_instances():
 
 @pytest.mark.parametrize("market,agent", list(_general_instances()))
 def test_sparse_maps_match_dense_loops(market, agent):
-    problem = _Problem(market, agent, agent.endowment.values)
+    problem = _Problem(market, agent)
     L, K, W = _dense_maps(market, agent)
     assert np.array_equal(problem.L.toarray(), L)
     assert np.array_equal(problem.K.toarray(), K)
@@ -579,12 +586,12 @@ def _exact_block_size(problem, market):
 
 def test_direction_instances_reach_every_ancestor_and_pad_ranks():
     market, agent = _full_memory_instance()
-    problem = _Problem(market, agent, agent.endowment.values)
+    problem = _Problem(market, agent)
     assert problem.reach == market.tree.horizon - 1      # the deepest atoms reach the root
     market, agent = _uneven_rank_instance()
     ranks = {g.rank for k in range(1, market.tree.horizon + 1) for g in market.basis_groups(k)}
     assert not market.is_complete() and len(ranks) >= 3
-    problem = _Problem(market, agent, agent.endowment.values)
+    problem = _Problem(market, agent)
     # some depth holds atoms of ranks 3 and 1 (two classes) and some class
     # pads a rank-2 atom to 3 rows
     depths = [cls.depth for cls in problem._sweep]
@@ -596,13 +603,13 @@ def test_direction_instances_reach_every_ancestor_and_pad_ranks():
 def test_block_array_scales_with_each_atoms_rank():
     # one wide, high-rank atom pads no other atom's blocks
     market, agent = _wide_atom_instance()
-    problem = _Problem(market, agent, agent.endowment.values)
+    problem = _Problem(market, agent)
     ranks = sorted({g.rank for k in range(1, 4) for g in market.basis_groups(k)})
     assert ranks == [2, 8] and not market.is_complete()
     assert problem._blk_size == _exact_block_size(problem, market)
     # uneven ranks pad each block dimension at most twofold
     market, agent = _uneven_rank_instance()
-    problem = _Problem(market, agent, agent.endowment.values)
+    problem = _Problem(market, agent)
     assert _exact_block_size(problem, market) < problem._blk_size \
         <= 4 * _exact_block_size(problem, market)
 
@@ -613,8 +620,9 @@ def test_block_array_scales_with_each_atoms_rank():
 def test_sparse_newton_direction_matches_dense_solve(market, agent):
     # the oracle: -H = (L K)^T diag(d) (L K) from the dense per-column maps
     assert not market.is_complete()
-    problem = _Problem(market, agent, agent.endowment.values)
-    s = problem.surplus(_phase1_interior(problem))
+    endowed = _endowed(market, agent)
+    problem = endowed.problem
+    s = endowed.surplus(_phase1_interior(endowed))
     g = problem.grad(s)
     L, K, _ = _dense_maps(market, agent)
     tree = market.tree
@@ -702,17 +710,28 @@ def test_solve_rejects_bad_tolerance(tol, binary_market):
 
 def test_non_finite_residual_is_not_convergence():
     # at gamma = 1000 the phase-1 point's R* holds NaN and inf entries; a NaN
-    # per-depth gap once read as 0.0 and Newton stopped after one iteration
+    # per-depth gap once read as 0.0 and Newton stopped after one iteration.
+    # Now the residual is infinite and Newton stops when no step along its
+    # direction raises the utility
     rng = np.random.default_rng(3)
     tree = gi.random_tree(rng, min_depth=2)
     market = gi.random_general_market(rng, tree)
     agent = AgentSpec(1000.0, 0.02, 0.2, AdaptedProcess.constant(tree, 1.0))
-    with np.errstate(all="ignore"):
-        try:
-            res = solve_consumption(market, agent)
-        except ConvergenceError:
-            return
-        assert foc_residual(market, agent, res) < 1e-9
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConvergenceError, match=r"\(line search failed\): first-order residual inf"):
+        solve_consumption(market, agent)
+
+
+def test_iteration_limit_stops_newton(monkeypatch):
+    market, agent = next(_general_instances())
+    monkeypatch.setattr(optimizer, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"after 1 iterations \(iteration limit reached\)") as err:
+        solve_consumption(market, agent)
+    assert 1e-9 < err.value.residual < np.inf
+    # without the limit the same solve takes more than one iteration
+    monkeypatch.undo()
+    assert solve_consumption(market, agent).iterations > 2
 
 
 def test_foc_residual_is_infinite_at_a_non_finite_ratio():
