@@ -592,7 +592,7 @@ def _solve_newton(problem: _Problem, agents: list, tol: float) -> list:
     """Damped Newton over the wealth coordinates (incomplete markets) for
     agents with the problem's preferences, each with its own endowment.
     The first agent starts at :func:`_interior_start`; the others start at
-    the first one's result wherever that is strictly feasible for them."""
+    the first one's final theta wherever that is strictly feasible for them."""
     M = problem.market.spd.values
     p = problem.market.tree.probabilities()
     results, first = [], None
