@@ -15,7 +15,10 @@ present value, and in those coordinates the grid endowments converge to
 (1, 0, ..., 0) as eps_0 grows; by the limit above, so do their optimal
 wealth coordinates, to the artificial optimum theta*.  Each grid solve
 therefore starts at theta*, which is near its optimum on the large-eps_0
-end of the grid, wherever every habit surplus is positive there.
+end of the grid, wherever every habit surplus is positive there.  The
+artificial problem, and any grid point where theta* is not strictly
+feasible, start at a plan that trades only the bond account, or at the
+phase-1 LP's point when that plan is not strictly feasible either.
 """
 
 from __future__ import annotations

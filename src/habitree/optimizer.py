@@ -18,9 +18,11 @@ result's ``method``:
   utility in those coordinates is exactly the positive-SPD condition
   P^L_k[R*_k / R*_{k-1}] = M_k / M_{k-1}), and a line search that keeps
   every habit surplus positive.  It starts at the endowment (theta = 0)
-  when every habit surplus of the endowment is positive, and otherwise at
-  the point of a phase-1 LP (the only use of scipy.optimize on this
-  route).  ``solve_endowments`` solves several endowments under one
+  when every habit surplus of the endowment is positive, otherwise at a
+  plan that trades only the bond account when that one is strictly
+  feasible, and otherwise at the point of a phase-1 LP (the only use of
+  scipy.optimize on this route, and the one that decides that no plan is
+  feasible).  ``solve_endowments`` solves several endowments under one
   agent's preferences on one market with the maps built once, and starts
   every solve after the first at the first one's optimum wherever every
   habit surplus is positive there (the asymptotics sweep starts its grid
@@ -28,8 +30,11 @@ result's ``method``:
   system by block elimination along the tree, deepest atoms first, since
   the Hessian couples an atom's coordinates only with those of a few
   generations of its ancestors.
-  Once an iterate meets ``tol`` it takes one more Newton step, so the
-  result sits at roundoff and does not depend on the start.
+  Iterates are tested with the first-order residual read off Newton's own
+  gradient.  Once an iterate meets ``tol`` it takes one more Newton step,
+  so the result sits at roundoff and does not depend on the start; a
+  result is returned only when the residual recomputed from its plan meets
+  ``tol`` too.
 
 Either route checks the first-order residual of its result against ``tol``
 and raises ConvergenceError when it is not met; Newton also stops, with the
@@ -120,8 +125,9 @@ class _Problem:
 
     c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma),
     W = Kw theta.  K (CSC) has one column per orthonormal payoff-basis vector
-    and Kw is K without each column's parent-atom entry; L, LK = L K and its
-    transpose LKT are CSR.  The Hessian LK^T diag(d) LK is assembled per
+    and Kw is K without each column's parent-atom entry; L, its transpose
+    LT, LK = L K and its transpose LKT are CSR.  Newton's gradient is
+    LKT phi at the marginal utilities phi = pw s^-gamma (:meth:`marginal`).  The Hessian LK^T diag(d) LK is assembled per
     Newton step as per-atom blocks (:meth:`hess`), in a pattern fixed here.
     """
 
@@ -140,7 +146,8 @@ class _Problem:
 
         # L = I - sum_{l<k} beta^(k)_l (ancestor at depth l), as triplets
         rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
-        for nodes, anc, b in habit_terms(tree, agent.habits):
+        self.habit_terms = list(habit_terms(tree, agent.habits))
+        for nodes, anc, b in self.habit_terms:
             rows.append(nodes)
             cols.append(anc)
             vals.append(np.full(len(nodes), -b))
@@ -178,12 +185,19 @@ class _Problem:
             data[start] = -((g.cond_probs * M[children])[:, None, :] * onb_rows).sum(axis=2) \
                 / M[atoms][:, None]
             data[start[:, :, None] + 1 + np.arange(b)] = onb_rows
+        # per basis group, for the first-order residual and the bond start:
+        # its atoms and children (node indices), theta's columns and the
+        # scale 1 + |M_c/M_a| of the residual
+        self._groups = [_Group(atoms, children, first_col[atoms][:, None] + np.arange(g.rank),
+                               g.onb, g.cond_probs, 1.0 + np.abs(M[children] / M[atoms][:, None]))
+                        for atoms, children, g in groups]
         self.K = sparse.csc_array((data, indices, indptr), shape=(n, m))
         # the wealth map: K without each column's parent-atom entry
         self.Kw = sparse.csc_array((data[kids], indices[kids], indptr - np.arange(m + 1)),
                                    shape=(n, m))
         self.LK = LK = self.L @ self.K
         self.LKT = LK.T.tocsr()
+        self.LT = self.L.T.tocsr()
 
         # The Newton system -H d = g in tree-sparse blocks.  A row of LK
         # touches one root path, so -H = LK^T diag(d) LK couples an atom's
@@ -199,7 +213,7 @@ class _Problem:
         # columns past a rank being zero except for an identity diagonal.
         # Each pair (e, f) of entries in one row of LK, f's atom an ancestor
         # of (or equal to) e's, adds into one position of the block array.
-        n_atoms = tree.n_upto(T - 1)
+        self.n_atoms = n_atoms = tree.n_upto(T - 1)
         per_row = np.diff(LK.indptr)
         rows = np.repeat(np.arange(n), per_row)
         reps = per_row[rows]                        # pairs that start at entry e
@@ -295,8 +309,30 @@ class _Problem:
     def utility(self, s) -> float:
         return np.sum(self.pw * s ** (1.0 - self.gamma)) / (1.0 - self.gamma)
 
-    def grad(self, s: np.ndarray) -> np.ndarray:
-        return self.LKT @ (self.pw * s ** (-self.gamma))
+    def marginal(self, s: np.ndarray) -> np.ndarray:
+        """pw s^-gamma, whose image under L^T is p R*."""
+        return self.pw * s ** (-self.gamma)
+
+    def grad_residual(self, g: np.ndarray, phi: np.ndarray) -> float:
+        """:func:`_foc_residual` read off the gradient g = LK^T phi at the
+        marginal utilities phi.  Column j of an atom a's block of K^T takes
+        the inner product with basis vector onb_j, so with y = L^T phi =
+        p R*, g_j = p_a R*_a <R*_c/R*_a - M_c/M_a, onb_j>_q over a's
+        children c (q their conditional probabilities).  M_c/M_a lies in
+        L_k, hence P^L[R*_c/R*_a] - M_c/M_a = onb (g / (p_a R*_a)): one
+        stacked product per basis group, and no habit walk or projection.
+        A nonpositive p_a R*_a or a non-finite gap reads as inf."""
+        y = self.LT @ phi
+        if not np.min(y[:self.n_atoms]) > 0.0:
+            return np.inf
+        worst = 0.0
+        for grp in self._groups:
+            coords = g[grp.cols] / y[grp.atoms][:, None]
+            gap = float(np.max(np.abs(np.matmul(grp.onb, coords[:, :, None])[:, :, 0]) / grp.scale))
+            if not np.isfinite(gap):
+                return np.inf
+            worst = max(worst, gap)
+        return worst
 
     def hess(self, s: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The Newton system -H d = g at surplus s and gradient g, as the
@@ -331,6 +367,17 @@ class _Endowed:
         if np.any(s <= 0.0):
             return -np.inf
         return float(self.problem.utility(s))
+
+
+class _Group(NamedTuple):
+    """One basis group of :class:`_Problem`, in node indices."""
+
+    atoms: np.ndarray                   # (G,)
+    kids: np.ndarray                    # (G, b)
+    cols: np.ndarray                    # (G, r) theta's index of each basis vector
+    onb: np.ndarray                     # (G, b, r)
+    q: np.ndarray                       # (G, b) conditional probabilities
+    scale: np.ndarray                   # (G, b) 1 + |M_c / M_a|
 
 
 class _Class(NamedTuple):
@@ -537,9 +584,10 @@ def solve_consumption(market: MarketSpec, agent: AgentSpec, tol: float = FOC_TOL
     (``method="newton"``), with the endowment internally normalized to unit
     present value under the aggregate SPD (results rescale exactly by the
     power-utility scaling property).  Newton starts at the endowment when its
-    habit surplus is positive everywhere, else at a phase-1 LP point, and
-    returns the point one Newton step past the first iterate that meets
-    ``tol`` (that iterate itself if the extra step fails or leaves ``tol``).
+    habit surplus is positive everywhere, else at a bond-account plan when
+    that one is strictly feasible, else at a phase-1 LP point, and returns
+    the point one Newton step past the first iterate that meets ``tol``
+    (that iterate itself if the extra step fails or leaves ``tol``).
     Raises ConvergenceError with the residual when the first-order residual
     is not brought below ``tol`` (Newton names its stop: a singular Newton
     system, a failed line search, a stagnated residual or MAX_NEWTON_ITER
@@ -580,12 +628,80 @@ def solve_endowments(market: MarketSpec, agent: AgentSpec, endowments,
 
 def _interior_start(endowed: _Endowed) -> np.ndarray:
     """A strictly feasible Newton start: the endowment itself (theta = 0)
-    when every habit surplus of it is positive, else the phase-1 LP's point.
-    The endowment is normalized to unit present value, so the test is
-    scale-free."""
+    when every habit surplus of it is positive, else the bond-account plan
+    of :func:`_bond_start` when that one is strictly feasible, else the
+    phase-1 LP's point (which raises InfeasibleProblemError when no plan is
+    feasible).  The endowment is normalized to unit present value, so the
+    tests are scale-free."""
     if np.min(endowed.Lbase) > SURPLUS_FLOOR:
         return np.zeros(endowed.problem.n_theta)
-    return _phase1_interior(endowed)
+    theta = _bond_start(endowed)
+    return theta if theta is not None else _phase1_interior(endowed)
+
+
+def _bond_start(endowed: _Endowed) -> Optional[np.ndarray]:
+    """Theta of a plan that trades only the bond account B (B_root = 1,
+    B_n = B_parent (1 + r_n)), or None when that plan is not strictly
+    feasible.
+
+    The plan consumes base + a_k B_n at depth-k nodes.  M B is a martingale,
+    so it is budget-neutral when sum_k a_k = 0, and its wealth is
+    W_k = (sum_{j >= k} a_j) B_k.  Root consumption is cut by half its
+    surplus (a_0 = -Lbase_root / 2); then for 1 <= k < T, a_k is the largest
+    habit shortfall over depth-k nodes divided by B_n, plus a margin eta, and
+    a_T = -sum_{k<T} a_k takes the rest.  eta is the largest margin for
+    which a_T still covers depth T's shortfall plus eta.  Every a_k with
+    k < T grows with eta, so that slack falls at least T times as fast as
+    eta, and the largest eta lies in [0, slack(0) / T]; it is searched in a
+    few rounds of evenly spaced candidates, each round evaluated as one
+    array.  Theta projects the plan's wealth on each atom's children onto
+    the atom's basis."""
+    problem = endowed.problem
+    tree = problem.market.tree
+    T = tree.horizon
+    r = problem.market.interest.values
+    B = np.ones(tree.n_nodes)
+    for k in range(1, T + 1):
+        nodes = tree.depth_nodes[k]
+        B[nodes] = B[tree.parent[nodes]] * (1.0 + r[nodes])
+    Lbase = endowed.Lbase
+    terms = [[] for _ in range(T + 1)]          # per depth k: (l, beta B_anc)
+    for nodes, anc, b in problem.habit_terms:
+        terms[tree.depth[nodes[0]]].append((tree.depth[anc[0]], b * B[anc]))
+
+    def plan(eta: np.ndarray):
+        """(a (C, T+1), slack (C,)) for candidate margins eta (C,)."""
+        a = np.empty((len(eta), T + 1))
+        a[:, 0] = -0.5 * Lbase[0]
+        for k in range(1, T + 1):
+            nodes = tree.depth_nodes[k]
+            short = np.broadcast_to(-Lbase[nodes], (len(eta), len(nodes)))
+            for l, bB in terms[k]:
+                short = short + a[:, l, None] * bB
+            need = np.max(short / B[nodes], axis=1)
+            if k < T:
+                a[:, k] = need + eta
+        a[:, T] = -a[:, :T].sum(axis=1)
+        return a, a[:, T] - need - eta
+
+    _, slack = plan(np.zeros(1))
+    if not slack[0] > 0.0:
+        return None
+    lo, hi = 0.0, float(slack[0]) / T
+    for _ in range(3):              # each round narrows [lo, hi] 32-fold
+        eta = np.linspace(lo, hi, 33)
+        a, slack = plan(eta)
+        i = np.flatnonzero(slack >= 0.0)[-1]     # eta[0] = lo is feasible
+        lo, hi = eta[i], eta[min(i + 1, 32)]
+    held = np.cumsum(a[i, ::-1])[::-1]          # sum_{j >= k} a_j
+    W = held[tree.depth] * B
+    theta = np.zeros(problem.n_theta)
+    for grp in problem._groups:
+        coords = np.matmul(grp.onb.transpose(0, 2, 1), (grp.q * W[grp.kids])[:, :, None])
+        theta[grp.cols] = coords[:, :, 0]
+    if np.min(endowed.surplus(theta)) > SURPLUS_FLOOR:
+        return theta
+    return None
 
 
 def _solve_newton(problem: _Problem, agents: list, tol: float) -> list:
@@ -615,22 +731,26 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
     theta and its result, scaled back by the present value ``pv``.  The
     first iterate that meets ``tol`` is held while one more Newton step is
     taken: quadratic convergence puts that step's point at roundoff, where
-    it depends on the problem rather than on the path."""
+    it depends on the problem rather than on the path.  Iterates are tested
+    with the residual read off the gradient; a result is returned only when
+    :func:`_foc_residual` confirms it, and Newton goes on when neither the
+    held iterate nor the step past it is confirmed."""
     problem = endowed.problem
-    market, agent = problem.market, problem.agent
     met = None                    # (theta, iteration) of the first iterate below tol
     best, stalled = np.inf, 0     # best residual in the quadratic basin
     for it in range(1, MAX_NEWTON_ITER + 1):
         if met is not None:
-            result = _result_from_theta(endowed, theta, pv, it, "newton")
-            if result.foc_residual < tol:
-                return theta, result
-            break
+            for point, at in ((theta, it), met):
+                result = _result_from_theta(endowed, point, pv, at, "newton")
+                if result.foc_residual < tol:
+                    return point, result
+            met = None
         s = endowed.surplus(theta)
-        res = _foc_residual_on(market, agent, endowed.consumption(theta))
+        phi = problem.marginal(s)
+        g = problem.LKT @ phi
+        res = problem.grad_residual(g, phi)
         if res < tol:
             met = theta, it
-        g = problem.grad(s)
         u0 = problem.utility(s)
         basin = float(np.max(np.abs(g))) < 1e-6 * (1.0 + abs(u0))
         if basin:
@@ -671,9 +791,13 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
             break
     else:
         reason = "iteration limit reached"
-        res = _foc_residual_on(market, agent, endowed.consumption(theta))
+        phi = problem.marginal(endowed.surplus(theta))
+        res = problem.grad_residual(problem.LKT @ phi, phi)
     if met is not None:
-        return met[0], _result_from_theta(endowed, met[0], pv, met[1], "newton")
+        result = _result_from_theta(endowed, met[0], pv, met[1], "newton")
+        if result.foc_residual < tol:
+            return met[0], result
+        res = result.foc_residual
     raise ConvergenceError(f"Newton stopped after {it} iterations ({reason}): "
                            f"first-order residual {res:.3e}", residual=res)
 

@@ -27,6 +27,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -338,7 +339,24 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        self.blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        # coverage and disjointness from the counts of the concatenated
+        # blocks; the per-node walk below only runs to name the first
+        # offending block or node
+        try:
+            blocks = tuple(tuple(b.astype(np.int64, copy=False).tolist())
+                           if isinstance(b, np.ndarray) else tuple(map(int, b))
+                           for b in self.blocks)
+            pos = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64) \
+                - self.tree.n_upto(self.depth - 1)
+        except (TypeError, ValueError, OverflowError):
+            blocks = self.blocks            # the walk raises or names the node
+        else:
+            width = len(self.tree.depth_nodes[self.depth])
+            if (all(blocks) and len(pos) == width and pos.min() >= 0 and pos.max() < width
+                    and np.bincount(pos, minlength=width).max() == 1):
+                self.blocks = blocks
+                return
+        self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
         want = set(int(i) for i in self.tree.depth_nodes[self.depth])
         seen = set()
         for b in self.blocks:

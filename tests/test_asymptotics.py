@@ -183,27 +183,40 @@ def test_sweep_solves_match_independent_solves(kind):
 
 @pytest.mark.parametrize("kind", ["classC", "general"])
 def test_sweep_starts_at_the_artificial_optimum_or_falls_back_to_the_lp(kind, monkeypatch):
+    # a solve that cannot start at the artificial optimum falls back to a
+    # lone solve's start search: the bond-account plan, then the LP
     market, agent = _sweep_instance(kind)
     ends = _sweep_endowments(agent)
     p, M = market.tree.probabilities(), market.spd.values
     unit_pv = [e / float(np.sum(p * M * e)) for e in ends]
-    lp, phase1 = [], optimizer._phase1_interior
+    bond, lp = [], []
+    bond_start, phase1 = optimizer._bond_start, optimizer._phase1_interior
 
-    def spy(endowed):
-        lp.append(next(i for i, e in enumerate(unit_pv) if np.array_equal(endowed.base, e)))
+    def which(endowed):
+        return next(i for i, e in enumerate(unit_pv) if np.array_equal(endowed.base, e))
+
+    def bond_spy(endowed):
+        theta = bond_start(endowed)
+        bond.append((which(endowed), theta is not None))
+        return theta
+
+    def lp_spy(endowed):
+        lp.append(which(endowed))
         return phase1(endowed)
 
-    monkeypatch.setattr(optimizer, "_phase1_interior", spy)
+    monkeypatch.setattr(optimizer, "_bond_start", bond_spy)
+    monkeypatch.setattr(optimizer, "_phase1_interior", lp_spy)
     results = solve_endowments(market, agent, ends)
-    # the LP runs for the artificial problem and for eps_0 = 1e1, where the
-    # artificial optimum has a nonpositive surplus; every larger grid point
+    # a start is searched for the artificial problem and for eps_0 = 1e1,
+    # where the artificial optimum has a nonpositive surplus, and the
+    # bond-account plan is feasible for both; every larger grid point
     # starts at the artificial optimum
-    assert lp == [0, 1]
+    assert bond == [(0, True), (1, True)] and lp == []
     problem = _Problem(market, agent)
     assert all(np.min(_Endowed(problem, e).Lbase) <= 0.0 for e in unit_pv)
-    lp.clear()
+    bond.clear()
     alone = _alone(market, agent, ends[-1])
-    assert lp == [len(ends) - 1]      # alone, eps_0 = 1e5 starts at the LP
+    assert bond == [(len(ends) - 1, True)] and lp == []     # alone, eps_0 = 1e5 searches
     assert results[-1].iterations < alone.iterations
 
 

@@ -210,6 +210,33 @@ def test_partition_validation():
     assert not sib.refines(Partition.singletons(tree, 1))
 
 
+@pytest.mark.parametrize("blocks,message", [
+    (((), (3, 4, 5, 6)), "empty block"),
+    (((3, 4, 7), (5, 6)), "node 7 not at depth 2"),
+    (((3, 4, 5), (5, 6)), "node 5 in two blocks"),
+    (((3, 4), (6,)), "blocks do not cover the depth"),
+    # the first offence in block order is named, as by a walk over the nodes
+    (((3, 4), (4, 2), (5, 6)), "node 4 in two blocks"),
+    (((3, 10 ** 30), (4, 5, 6)), f"node {10 ** 30} not at depth 2"),
+])
+def test_partition_names_the_offending_node(blocks, message):
+    tree = EventTree.uniform(2, 2)
+    with pytest.raises(SchemaError, match=f"^partition: {message}$"):
+        Partition(tree, 2, blocks)
+    with pytest.raises(SchemaError, match=f"^partition: {message}$"):
+        Partition(tree, 2, tuple(np.array(b, dtype=object if 10 ** 30 in b else np.int64)
+                                 for b in blocks))
+
+
+def test_partition_blocks_are_tuples_of_ints():
+    tree = EventTree.uniform(2, 2)
+    for blocks in (((3, 4), (5, 6)), (np.array([3, 4]), np.array([5, 6])),
+                   ((np.int64(3), 4.0), [5, np.int32(6)])):
+        part = Partition(tree, 2, blocks)
+        assert part.blocks == ((3, 4), (5, 6))
+        assert all(type(i) is int for b in part.blocks for i in b)
+
+
 def test_tree_invariant_violations():
     with pytest.raises(SchemaError):   # child probabilities must sum to one
         EventTree.from_edges([("r", None, 1.0), ("a", "r", 0.6), ("b", "r", 0.6)], 1)
