@@ -691,7 +691,7 @@ def _bond_start(endowed: _Endowed) -> Optional[np.ndarray]:
     for _ in range(3):              # each round narrows [lo, hi] 32-fold
         eta = np.linspace(lo, hi, 33)
         a, slack = plan(eta)
-        i = np.flatnonzero(slack >= 0.0)[-1]     # eta[0] = lo is feasible
+        i = max(np.flatnonzero(slack >= 0.0), default=0)     # eta[0] = lo is feasible
         lo, hi = eta[i], eta[min(i + 1, 32)]
     held = np.cumsum(a[i, ::-1])[::-1]          # sum_{j >= k} a_j
     W = held[tree.depth] * B

@@ -339,24 +339,20 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
+        self.blocks = tuple(tuple(b.tolist()) if isinstance(b, np.ndarray) and b.dtype.kind in "iu"
+                            else tuple(map(int, b)) for b in self.blocks)
         # coverage and disjointness from the counts of the concatenated
-        # blocks; the per-node walk below only runs to name the first
-        # offending block or node
+        # blocks; the walk below only runs to name the first offending
+        # block or node
         try:
-            blocks = tuple(tuple(b.astype(np.int64, copy=False).tolist())
-                           if isinstance(b, np.ndarray) else tuple(map(int, b))
-                           for b in self.blocks)
-            pos = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64) \
+            pos = np.fromiter(itertools.chain.from_iterable(self.blocks), dtype=np.int64) \
                 - self.tree.n_upto(self.depth - 1)
-        except (TypeError, ValueError, OverflowError):
-            blocks = self.blocks            # the walk raises or names the node
-        else:
-            width = len(self.tree.depth_nodes[self.depth])
-            if (all(blocks) and len(pos) == width and pos.min() >= 0 and pos.max() < width
-                    and np.bincount(pos, minlength=width).max() == 1):
-                self.blocks = blocks
-                return
-        self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
+        except OverflowError:           # a node beyond int64, named by the walk
+            pos = None
+        width = len(self.tree.depth_nodes[self.depth])
+        if (pos is not None and all(self.blocks) and len(pos) == width and pos.min() >= 0
+                and pos.max() < width and np.bincount(pos, minlength=width).max() == 1):
+            return
         want = set(int(i) for i in self.tree.depth_nodes[self.depth])
         seen = set()
         for b in self.blocks:

@@ -197,8 +197,8 @@ def test_gamma_one_rejected():
 
 def test_phase1_reports_infeasible():
     """The LP surface raises a typed error when no positive-surplus plan
-    exists (constructible only synthetically: bond trading always restores
-    feasibility in this market model)."""
+    exists; here a stub with no tradeable direction at all (a real market
+    reaches it in test_infeasibility_is_decided_by_the_lp)."""
 
     class Stub:
         class problem:
