@@ -26,10 +26,12 @@ result's ``method``:
   agent's preferences on one market with the maps built once, and starts
   every solve after the first at the first one's optimum wherever every
   habit surplus is positive there (the asymptotics sweep starts its grid
-  at the artificial optimum this way).  Each Newton step solves its
-  system by block elimination along the tree, deepest atoms first, since
-  the Hessian couples an atom's coordinates only with those of a few
-  generations of its ancestors.
+  at the artificial optimum this way).  Newton's linear maps are plain
+  numpy arrays of their nonzero entries (:class:`_Map`), applied with the
+  bits of scipy.sparse's products but without importing it.  Each Newton
+  step solves its system by block elimination along the tree, deepest
+  atoms first, since the Hessian couples an atom's coordinates only with
+  those of a few generations of its ancestors.
   Iterates are tested with the first-order residual read off Newton's own
   gradient.  Once an iterate meets ``tol`` it takes one more Newton step,
   so the result sits at roundoff and does not depend on the start; a
@@ -49,6 +51,7 @@ route."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -116,6 +119,72 @@ def _check_same_tree(market: MarketSpec, agent: AgentSpec) -> None:
         raise SchemaError("endowment", "agent endowment lives on a different tree")
 
 
+class _Map:
+    """A sparse matrix as its entries (``row``, ``col``, ``val``), each
+    row's entries listed in the order in which scipy.sparse sums them:
+    ``A @ x`` adds each row's products up from 0 in that order, as scipy's
+    CSR and CSC products do, so the two agree bit for bit.  ``indptr``,
+    ``indices`` and ``data`` are the compressed rows (CSR) or, with
+    ``by_row=False``, compressed columns (CSC), each row (column) in entry
+    order; they are sorted out on first use."""
+
+    def __init__(self, row, col, val, shape, by_row=True):
+        self.row, self.col, self.val, self.shape, self.by_row = row, col, val, shape, by_row
+        self.nnz = len(val)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=self.shape[0])
+
+    @property
+    def T(self) -> "_Map":
+        """The transpose, entries in this map's order.  When this map lists
+        its entries by ascending row, each row of the transpose lists its
+        entries in ascending column order, as scipy's ``A.T.tocsr()`` of a
+        CSR ``A`` does."""
+        return _Map(self.col, self.row, self.val, self.shape[::-1])
+
+    @cached_property
+    def _compressed(self):
+        major, minor = (self.row, self.col) if self.by_row else (self.col, self.row)
+        order = np.argsort(major, kind="stable")
+        counts = np.bincount(major, minlength=self.shape[0 if self.by_row else 1])
+        return np.concatenate([[0], np.cumsum(counts)]), minor[order], self.val[order]
+
+    indptr = property(lambda self: self._compressed[0])
+    indices = property(lambda self: self._compressed[1])
+    data = property(lambda self: self._compressed[2])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.row, self.col), self.val)
+        return dense
+
+
+def _product(L: _Map, K: _Map) -> _Map:
+    """L K, entry for entry as scipy's ``L @ K`` of a CSR L stores it: rows
+    ascending, each row's columns descending, each entry summed up from 0
+    over L's row in entry order, and exact zeros dropped."""
+    (n, _), m = L.shape, K.shape[1]
+    Kr = _Map(K.row, K.col, K.val, K.shape)            # K's rows, columns ascending
+    # join each entry of L with K's row at its column; the keys come nearly
+    # sorted, and a stable sort keeps each key's terms in L's order
+    count = np.diff(Kr.indptr)[L.col]
+    e = np.repeat(np.arange(L.nnz), count)
+    kk = np.repeat(Kr.indptr[L.col] - np.cumsum(count) + count, count) + np.arange(len(e))
+    key = L.row[e] * m + Kr.indices[kk]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    sums = np.bincount(np.cumsum(first) - 1, weights=(L.val[e] * Kr.data[kk])[order])
+    key, sums = key[first][sums != 0.0], sums[sums != 0.0]
+    row = key // max(m, 1)
+    # reverse each row: entry u of a row spanning [lo, hi) moves to lo + hi - 1 - u
+    hi = np.cumsum(np.bincount(row, minlength=n))
+    lo = np.concatenate([[0], hi[:-1]])
+    rev = (lo + hi - 1)[row] - np.arange(len(row))
+    return _Map(row, key[rev] % max(m, 1), sums[rev], (n, m))
+
+
 class _Problem:
     """The market x preferences part of the problem: sparse linear maps and
     the Newton system's block pattern, shared by every endowment solved on
@@ -124,16 +193,16 @@ class _Problem:
     endowment.
 
     c = base + K theta,  s = L c,  U(theta) = sum_n pw_n s_n^{1-gamma}/(1-gamma),
-    W = Kw theta.  K (CSC) has one column per orthonormal payoff-basis vector
-    and Kw is K without each column's parent-atom entry; L, its transpose
-    LT, LK = L K and its transpose LKT are CSR.  Newton's gradient is
-    LKT phi at the marginal utilities phi = pw s^-gamma (:meth:`marginal`).  The Hessian LK^T diag(d) LK is assembled per
-    Newton step as per-atom blocks (:meth:`hess`), in a pattern fixed here.
+    W = Kw theta.  The maps are :class:`_Map` entry lists.  K (by columns)
+    has one column per orthonormal payoff-basis vector and Kw is K without
+    each column's parent-atom entry; L and LK = L K list their entries by
+    rows, and LT and LKT are their transposes.  Newton's gradient is LKT phi
+    at the marginal utilities phi = pw s^-gamma (:meth:`marginal`).  The
+    Hessian LK^T diag(d) LK is assembled per Newton step as per-atom blocks
+    (:meth:`hess`), in a pattern fixed here.
     """
 
     def __init__(self, market: MarketSpec, agent: AgentSpec):
-        from scipy import sparse
-
         _check_same_tree(market, agent)
         tree = market.tree
         self.market = market
@@ -144,15 +213,17 @@ class _Problem:
         self.pw = self.p * np.exp(-agent.rho * tree.depth.astype(float))
         self.gamma = agent.gamma
 
-        # L = I - sum_{l<k} beta^(k)_l (ancestor at depth l), as triplets
-        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
+        # L = I - sum_{l<k} beta^(k)_l (ancestor at depth l): each row holds
+        # its ancestors' terms, l ascending, then the diagonal
         self.habit_terms = list(habit_terms(tree, agent.habits))
+        indptr = np.concatenate([[0], np.cumsum(1 + np.count_nonzero(agent.habits, axis=1)[tree.depth])])
+        indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+        indices[indptr[1:] - 1], data[indptr[1:] - 1] = np.arange(n), 1.0
+        fill = indptr[:-1].copy()
         for nodes, anc, b in self.habit_terms:
-            rows.append(nodes)
-            cols.append(anc)
-            vals.append(np.full(len(nodes), -b))
-        self.L = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                                  shape=(n, n))
+            indices[fill[nodes]], data[fill[nodes]] = anc, -b
+            fill[nodes] += 1
+        self.L = _Map(np.repeat(np.arange(n), np.diff(indptr)), indices, data, (n, n))
 
         # wealth coordinates over the orthonormalized payoff bases (same
         # spans as the pruned raw payoffs, far better conditioned), atom by
@@ -191,13 +262,13 @@ class _Problem:
         self._groups = [_Group(atoms, children, first_col[atoms][:, None] + np.arange(g.rank),
                                g.onb, g.cond_probs, 1.0 + np.abs(M[children] / M[atoms][:, None]))
                         for atoms, children, g in groups]
-        self.K = sparse.csc_array((data, indices, indptr), shape=(n, m))
+        col = np.repeat(np.arange(m), height)
+        self.K = _Map(indices, col, data, (n, m), by_row=False)
         # the wealth map: K without each column's parent-atom entry
-        self.Kw = sparse.csc_array((data[kids], indices[kids], indptr - np.arange(m + 1)),
-                                   shape=(n, m))
-        self.LK = LK = self.L @ self.K
-        self.LKT = LK.T.tocsr()
-        self.LT = self.L.T.tocsr()
+        self.Kw = _Map(indices[kids], col[kids], data[kids], (n, m), by_row=False)
+        self.LK = LK = _product(self.L, self.K)
+        self.LKT = LK.T
+        self.LT = self.L.T
 
         # The Newton system -H d = g in tree-sparse blocks.  A row of LK
         # touches one root path, so -H = LK^T diag(d) LK couples an atom's
@@ -213,14 +284,17 @@ class _Problem:
         # columns past a rank being zero except for an identity diagonal.
         # Each pair (e, f) of entries in one row of LK, f's atom an ancestor
         # of (or equal to) e's, adds into one position of the block array.
+        # A row lists its columns descending, so its atoms' depths never
+        # rise along it: f runs from the first entry of e's atom to the
+        # row's end.
         self.n_atoms = n_atoms = tree.n_upto(T - 1)
-        per_row = np.diff(LK.indptr)
-        rows = np.repeat(np.arange(n), per_row)
-        reps = per_row[rows]                        # pairs that start at entry e
-        e = np.repeat(np.arange(LK.nnz), reps)
-        f = LK.indptr[rows[e]] + np.arange(len(e)) - np.repeat(np.cumsum(reps) - reps, reps)
-        gap = tree.depth[atom[LK.indices[e]]] - tree.depth[atom[LK.indices[f]]]
-        e, f, gap = e[gap >= 0], f[gap >= 0], gap[gap >= 0]
+        rows, ae = LK.row, atom[LK.col]
+        dep = tree.depth[ae]
+        run = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(ae, prepend=-1))
+        first = np.repeat(run, np.diff(np.append(run, LK.nnz)))    # first entry of e's atom
+        reps = np.cumsum(np.bincount(rows, minlength=n))[rows] - first
+        f = np.repeat(first - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        gap = np.repeat(dep, reps) - dep[f]
         R = self.reach = int(gap.max(initial=0))
         anc = np.empty((n_atoms, R + 1), dtype=np.int64)      # anc[:, i]: i generations up
         anc[:, 0] = np.arange(n_atoms)
@@ -259,11 +333,10 @@ class _Problem:
         depth0 = np.concatenate([[0], np.cumsum(np.bincount(tree.depth[:n_atoms], weights=size,
                                                              minlength=T))]).astype(np.int64)
         slot = np.arange(m) - first_col[atom]
-        ce, cf = LK.indices[e], LK.indices[f]
-        ae = atom[ce]
-        self._blk_pos = row0[ae] + slot[ce] * wid[ae] + col0[ae, gap] + slot[cf]
-        self._blk_per_row = np.bincount(rows[e], minlength=n)     # pairs in row order
-        self._blk_w = LK.data[e] * LK.data[f]
+        se = slot[LK.col]
+        self._blk_pos = np.repeat(row0[ae] + se * wid[ae], reps) + col0[np.repeat(ae, reps), gap] + se[f]
+        self._blk_per_row = np.bincount(rows, weights=reps, minlength=n).astype(np.int64)  # pairs per row
+        self._blk_w = np.repeat(LK.val, reps) * LK.val[f]
         self._blk_size = int(size.sum())
         self._g_pos = row0[atom] + slot * wid[atom] + wid[atom] - 1
         n_pad = row_r - rank[:n_atoms]
@@ -362,12 +435,6 @@ class _Endowed:
     def surplus(self, theta: np.ndarray) -> np.ndarray:
         return self.Lbase + self.problem.LK @ theta
 
-    def utility_theta(self, theta: np.ndarray) -> float:
-        s = self.surplus(theta)
-        if np.any(s <= 0.0):
-            return -np.inf
-        return float(self.problem.utility(s))
-
 
 class _Group(NamedTuple):
     """One basis group of :class:`_Problem`, in node indices."""
@@ -433,17 +500,17 @@ def _phase1_interior(endowed: _Endowed):
     strictly feasible theta or raises InfeasibleProblemError."""
     from scipy import optimize, sparse
 
-    n, m = endowed.problem.LK.shape
+    LK = endowed.problem.LK
+    n, m = LK.shape
     if m == 0:
         s = endowed.Lbase
         if np.min(s) <= SURPLUS_FLOOR:
             raise InfeasibleProblemError("no tradeable coordinates and endowment surplus not positive")
         return np.zeros(0)
     # A_ub = [-LK, 1] as triplets (linprog hands HiGHS a copy in CSC)
-    A = sparse.coo_array(endowed.problem.LK)
-    A_ub = sparse.coo_array((np.concatenate([-A.data, np.ones(n)]),
-                             (np.concatenate([A.row, np.arange(n)]),
-                              np.concatenate([A.col, np.full(n, m)]))), shape=(n, m + 1))
+    A_ub = sparse.coo_array((np.concatenate([-LK.val, np.ones(n)]),
+                             (np.concatenate([LK.row, np.arange(n)]),
+                              np.concatenate([LK.col, np.full(n, m)]))), shape=(n, m + 1))
     c = np.zeros(m + 1)
     c[-1] = -1.0
     res = optimize.linprog(c, A_ub=A_ub, b_ub=endowed.Lbase,
@@ -738,6 +805,7 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
     problem = endowed.problem
     met = None                    # (theta, iteration) of the first iterate below tol
     best, stalled = np.inf, 0     # best residual in the quadratic basin
+    s = endowed.surplus(theta)
     for it in range(1, MAX_NEWTON_ITER + 1):
         if met is not None:
             for point, at in ((theta, it), met):
@@ -745,7 +813,6 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
                 if result.foc_residual < tol:
                     return point, result
             met = None
-        s = endowed.surplus(theta)
         phi = problem.marginal(s)
         g = problem.LKT @ phi
         res = problem.grad_residual(g, phi)
@@ -777,13 +844,16 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
             # quadratic basin: Armijo cannot resolve the tiny improvement in
             # floating point; take the (feasibility-capped) Newton step as is
             theta = theta + alpha_max * d
+            s = endowed.surplus(theta)
             continue
         slope = float(g @ d)
         alpha = alpha_max
         while alpha > 1e-14:
-            u1 = endowed.utility_theta(theta + alpha * d)
-            if u1 > u0 + 1e-4 * alpha * slope:
-                theta = theta + alpha * d
+            # an accepted trial's surplus is the next iterate's
+            trial = theta + alpha * d
+            s_trial = endowed.surplus(trial)
+            if np.all(s_trial > 0.0) and problem.utility(s_trial) > u0 + 1e-4 * alpha * slope:
+                theta, s = trial, s_trial
                 break
             alpha *= BACKTRACK
         else:
@@ -791,7 +861,7 @@ def _newton(endowed: _Endowed, theta: np.ndarray, pv: float, tol: float):
             break
     else:
         reason = "iteration limit reached"
-        phi = problem.marginal(endowed.surplus(theta))
+        phi = problem.marginal(s)
         res = problem.grad_residual(problem.LKT @ phi, phi)
     if met is not None:
         result = _result_from_theta(endowed, met[0], pv, met[1], "newton")

@@ -202,7 +202,8 @@ def test_phase1_reports_infeasible():
 
     class Stub:
         class problem:
-            LK = np.zeros((3, 2))
+            LK = optimizer._Map(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                np.zeros(0), (3, 2))         # the 3 x 2 zero map
         Lbase = np.array([1.0, -0.5, 1.0])
 
     with pytest.raises(InfeasibleProblemError):
@@ -530,12 +531,51 @@ _ENDOWMENT_START = (
     "market = gi.random_general_market(rng, tree); "
     "assert solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; ")
 
+_IMPORTS = "import sys; import numpy as np; import habitree as h; import habitree.instances as gi; "
 
-def _loaded_after_endowment_start(*modules):
-    code = _ENDOWMENT_START + f"print([m in sys.modules for m in {modules!r}])"
+# an idiosyncratically incomplete market, which the bound recursions accept
+_FACTOR_MARKET = (
+    _IMPORTS + "rng = np.random.default_rng(1); market = gi.random_idiosyncratic_market(rng); "
+    "agent = gi.random_agent(rng, market.tree); assert not market.is_complete(); ")
+
+# incomplete runs that never reach the phase-1 LP: a solve at the endowment,
+# one at the bond account (_incomplete_instance(66, zero_node=True)), a
+# sandwich-bound run and a propensity sweep, whose artificial problem starts
+# at the bond account
+_NEWTON_RUNS = {
+    "endowment-start": _ENDOWMENT_START,
+    "bond-start": (
+        _IMPORTS + "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
+        "market = gi.random_general_market(rng, tree); "
+        "vals = rng.uniform(1.0, 2.0, size=tree.n_nodes); vals[tree.depth_nodes[1][0]] = 0.0; "
+        "agent = h.AgentSpec(2.0, 0.03, h.static_habit_matrix(0.3, tree.horizon), "
+        "h.AdaptedProcess(tree, tree.horizon, vals)); "
+        "assert h.solve_consumption(market, agent).method == 'newton'; "),
+    "bounds": _FACTOR_MARKET + "res = h.solve_consumption(market, agent); "
+    "h.check_sandwich(market, agent, res, h.bound_coefficients(market, agent)); ",
+    "asymptotics": _FACTOR_MARKET
+    + "assert len(h.propensity_sweep(market, agent, [1e1, 1e2, 1e3, 1e4, 1e5]).sweep) == 5; ",
+}
+
+# a solve whose bond-account start is infeasible, so the phase-1 LP runs
+# (_one_period_unit_initial(2.0))
+_LP_START = (
+    _IMPORTS + "tree = h.EventTree.uniform(1, 3); "
+    "market = gi.random_general_market(np.random.default_rng(5), tree); "
+    "vals = np.zeros(tree.n_nodes); vals[0] = 1.0; "
+    "agent = h.AgentSpec(2.0, 0.03, h.static_habit_matrix(2.0, 1), h.AdaptedProcess(tree, 1, vals)); "
+    "assert h.solve_consumption(market, agent).method == 'newton'; ")
+
+
+def _loaded_after(code, *modules):
+    code += f"print([m in sys.modules for m in {modules!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     return proc.stdout.strip()
+
+
+def _loaded_after_endowment_start(*modules):
+    return _loaded_after(_ENDOWMENT_START, *modules)
 
 
 def test_newton_from_the_endowment_imports_no_scipy_optimize():
@@ -543,10 +583,14 @@ def test_newton_from_the_endowment_imports_no_scipy_optimize():
     assert _loaded_after_endowment_start("scipy.optimize") == "[False]"
 
 
-def test_newton_step_imports_no_sparse_linalg():
-    # the Newton maps are scipy.sparse arrays; the step is solved without
-    # scipy.sparse.linalg
-    assert _loaded_after_endowment_start("scipy.sparse", "scipy.sparse.linalg") == "[True, False]"
+@pytest.mark.parametrize("run", sorted(_NEWTON_RUNS))
+def test_newton_route_imports_neither_scipy_sparse_nor_optimize(run):
+    # Newton's maps are numpy arrays; scipy comes in only with the LP
+    assert _loaded_after(_NEWTON_RUNS[run], "scipy.sparse", "scipy.optimize") == "[False, False]"
+
+
+def test_phase1_lp_start_imports_scipy_optimize():
+    assert _loaded_after(_LP_START, "scipy.optimize") == "[True]"
 
 
 # -- the sparse problem maps (incomplete route and oracle) ---------------------------
@@ -646,6 +690,35 @@ def _wide_atom_instance():
         extra.append(Asset(f"x{j}", AdaptedProcess(tree, 3, price), AdaptedProcess(tree, 3, div)))
     market = MarketSpec(tree, base.assets + tuple(extra), base.interest)
     return market, gi.random_agent(rng, tree, static=True)
+
+
+def _scipy_maps(market, agent):
+    """L, L^T, K, Kw, LK and (LK)^T as scipy.sparse builds them from the
+    dense per-column maps: CSR L, CSC K and Kw, L @ K and the transposes'
+    ``.T.tocsr()``."""
+    from scipy import sparse
+
+    L, K, W = _dense_maps(market, agent)
+    L, K, Kw = sparse.csr_array(L), sparse.csc_array(K), sparse.csc_array(W)
+    LK = L @ K
+    return {"L": L, "LT": L.T.tocsr(), "K": K, "Kw": Kw, "LK": LK, "LKT": LK.T.tocsr()}
+
+
+@pytest.mark.parametrize("market,agent", list(_general_instances())
+                         + [_full_memory_instance(), _uneven_rank_instance(),
+                            _wide_atom_instance()])
+def test_maps_store_and_apply_scipys_bits(market, agent):
+    # scipy.sparse is the oracle: the same stored entries in the same order,
+    # and products equal to the last bit
+    problem = _Problem(market, agent)
+    rng = np.random.default_rng(7)
+    for name, ref in _scipy_maps(market, agent).items():
+        ours = getattr(problem, name)
+        assert ours.shape == ref.shape and ours.nnz == ref.nnz, name
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, field), getattr(ref, field)), (name, field)
+        for x in rng.standard_normal((3, ref.shape[1])):
+            assert np.array_equal(ours @ x, ref @ x), name
 
 
 def _exact_block_size(problem, market):
