@@ -522,15 +522,6 @@ def test_solution_does_not_depend_on_the_start(monkeypatch):
     assert endowment.foc_residual < 1e-9 and lp.foc_residual < 1e-9
 
 
-# an incomplete solve whose endowment surplus is positive, so Newton starts at
-# the endowment and no phase-1 LP runs
-_ENDOWMENT_START = (
-    "import sys; import numpy as np; import habitree.instances as gi; "
-    "from habitree import solve_consumption; "
-    "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
-    "market = gi.random_general_market(rng, tree); "
-    "assert solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; ")
-
 _IMPORTS = "import sys; import numpy as np; import habitree as h; import habitree.instances as gi; "
 
 # an idiosyncratically incomplete market, which the bound recursions accept
@@ -538,12 +529,15 @@ _FACTOR_MARKET = (
     _IMPORTS + "rng = np.random.default_rng(1); market = gi.random_idiosyncratic_market(rng); "
     "agent = gi.random_agent(rng, market.tree); assert not market.is_complete(); ")
 
-# incomplete runs that never reach the phase-1 LP: a solve at the endowment,
-# one at the bond account (_incomplete_instance(66, zero_node=True)), a
-# sandwich-bound run and a propensity sweep, whose artificial problem starts
-# at the bond account
+# incomplete runs that never reach the phase-1 LP: a solve whose endowment
+# surplus is positive, so Newton starts at the endowment; one at the bond
+# account (_incomplete_instance(66, zero_node=True)); a sandwich-bound run;
+# and a propensity sweep, whose artificial problem starts at the bond account
 _NEWTON_RUNS = {
-    "endowment-start": _ENDOWMENT_START,
+    "endowment-start": (
+        _IMPORTS + "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
+        "market = gi.random_general_market(rng, tree); "
+        "assert h.solve_consumption(market, gi.random_agent(rng, tree)).method == 'newton'; "),
     "bond-start": (
         _IMPORTS + "rng = np.random.default_rng(66); tree = gi.random_tree(rng, min_depth=2); "
         "market = gi.random_general_market(rng, tree); "
@@ -574,18 +568,10 @@ def _loaded_after(code, *modules):
     return proc.stdout.strip()
 
 
-def _loaded_after_endowment_start(*modules):
-    return _loaded_after(_ENDOWMENT_START, *modules)
-
-
-def test_newton_from_the_endowment_imports_no_scipy_optimize():
-    # the phase-1 LP is the Newton route's only use of scipy.optimize
-    assert _loaded_after_endowment_start("scipy.optimize") == "[False]"
-
-
 @pytest.mark.parametrize("run", sorted(_NEWTON_RUNS))
 def test_newton_route_imports_neither_scipy_sparse_nor_optimize(run):
-    # Newton's maps are numpy arrays; scipy comes in only with the LP
+    # Newton's maps are numpy arrays, and the phase-1 LP is the Newton
+    # route's only use of scipy
     assert _loaded_after(_NEWTON_RUNS[run], "scipy.sparse", "scipy.optimize") == "[False, False]"
 
 
