@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: spd, solve, bounds, asymptotics, equilibrium, bond-curve,
-lucas-curve, verify.  One JSON input file per run (sections: market fields at
-top level for market commands, "agent", "economy", "iid"); outputs are
-byte-deterministic for a fixed (input, seed).  Exit codes: 0 success,
+lucas-curve, verify; each takes --input and --output plus the flags it
+reads, as `COMMANDS` lists them.  One JSON input file per run (sections:
+market fields at top level for market commands, "agent", "economy", "iid");
+outputs are byte-deterministic for a fixed (input, seed).  Exit codes: 0 success,
 2 schema violation, 3 solver non-convergence, 4 model-condition violation;
 errors are emitted as a JSON object on stderr.
 """
@@ -15,13 +16,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Optional
 
 from . import io as hio
 from .asymptotics import propensity_sweep
 from .equilibrium import (
+    WEIGHT_TOL,
     IIDEconomy,
     bond_curve,
     heterogeneous_equilibrium,
@@ -38,33 +38,8 @@ from .errors import (
 )
 from .estimates import bound_coefficients, check_sandwich
 from .instances import DEFAULT_SEED, example_iid_economy
-from .optimizer import solve_consumption
+from .optimizer import FOC_TOL, solve_consumption
 from .verify import DEFAULT_MANIFEST, SUITES, run_suites
-
-COMMANDS = ("spd", "solve", "bounds", "asymptotics", "equilibrium",
-            "bond-curve", "lucas-curve", "verify")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command, input/output paths, tolerance
-    overrides and the seed for randomized suites."""
-
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    tol: Optional[float] = None
-    seed: int = DEFAULT_SEED
-    beta_grid: Optional[str] = None
-    eps0_grid: Optional[str] = None
-    maturity: Optional[int] = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise SchemaError("command", f"unknown command {self.command!r}")
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise SchemaError("tol", "tolerances must be positive and finite")
-
 
 def _parse_grid(spec: str, field_name: str) -> list:
     """a:b:step grids (inclusive within half a step) or comma lists.  A grid
@@ -100,21 +75,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_input(config: RunConfig) -> dict:
-    if config.input is None:
+def _read_input(args: argparse.Namespace) -> dict:
+    if args.input is None:
         raise SchemaError("input", "this command needs --input")
     try:
-        with open(config.input, "rb") as fh:
+        with open(args.input, "rb") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
-        raise SchemaError("input", f"cannot read {config.input!r}") from None
+        raise SchemaError("input", f"cannot read {args.input!r}") from None
     except json.JSONDecodeError as e:
         raise SchemaError("input", f"malformed JSON: {e}") from None
 
 
-def _emit(config: RunConfig, payload: bytes) -> None:
-    if config.output:
-        with open(config.output, "wb") as fh:
+def _emit(args: argparse.Namespace, payload: bytes) -> None:
+    if args.output:
+        with open(args.output, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
@@ -135,26 +110,26 @@ def _csv(rows, header: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def cmd_spd(config: RunConfig) -> None:
-    obj = _read_input(config)
+def cmd_spd(args: argparse.Namespace) -> None:
+    obj = _read_input(args)
     market = hio.load_market(obj["market"] if "market" in obj else obj)
     tree = market.tree
     out = {"tree": hio.dump_tree(tree),
            "spd": dict(zip(tree.ids, market.spd.values.tolist()))}
-    _emit(config, hio.to_json_bytes(out))
+    _emit(args, hio.to_json_bytes(out))
 
 
-def cmd_solve(config: RunConfig) -> None:
-    obj = _read_input(config)
+def cmd_solve(args: argparse.Namespace) -> None:
+    obj = _read_input(args)
     market, agent = _market_and_agent(obj)
-    result = solve_consumption(market, agent, tol=config.tol or 1e-9)
-    _emit(config, hio.to_json_bytes(hio.dump_solve_result(result, market.tree)))
+    result = solve_consumption(market, agent, tol=args.tol)
+    _emit(args, hio.to_json_bytes(hio.dump_solve_result(result, market.tree)))
 
 
-def cmd_bounds(config: RunConfig) -> None:
-    obj = _read_input(config)
+def cmd_bounds(args: argparse.Namespace) -> None:
+    obj = _read_input(args)
     market, agent = _market_and_agent(obj)
-    result = solve_consumption(market, agent, tol=config.tol or 1e-9)
+    result = solve_consumption(market, agent, tol=args.tol)
     coeffs = bound_coefficients(market, agent)
     report = check_sandwich(market, agent, result, coeffs)
     rows = []
@@ -164,78 +139,93 @@ def cmd_bounds(config: RunConfig) -> None:
                      "lower": float(r.lower[i]), "value": float(r.value[i]),
                      "upper": float(r.upper[i]), "slack": r.slack})
     out = {"vacuous": report.vacuous, "min_slack": report.min_slack(), "periods": rows}
-    _emit(config, hio.to_json_bytes(out))
+    _emit(args, hio.to_json_bytes(out))
 
 
-def cmd_asymptotics(config: RunConfig) -> None:
-    obj = _read_input(config)
+def cmd_asymptotics(args: argparse.Namespace) -> None:
+    obj = _read_input(args)
     market, agent = _market_and_agent(obj)
-    grid = _parse_grid(config.eps0_grid or "1e1,1e2,1e3,1e4,1e5", "eps0-grid")
-    report = propensity_sweep(market, agent, grid, tol=config.tol or 1e-9)
+    grid = _parse_grid(args.eps0_grid, "eps0-grid")
+    report = propensity_sweep(market, agent, grid, tol=args.tol)
     csv = _csv(report.sweep, "eps0,err_c,err_W")
     summary = {"fitted_rate": report.fitted_rate,
                "alpha_lower": [float(a) for a in report.alpha_lower],
                "errors_decreasing": report.errors_decreasing()}
     payload = csv + b"# summary: " + hio.to_json_bytes(summary)
-    _emit(config, payload)
+    _emit(args, payload)
 
 
-def cmd_equilibrium(config: RunConfig) -> None:
-    obj = _read_input(config)
+def cmd_equilibrium(args: argparse.Namespace) -> None:
+    obj = _read_input(args)
     economy = hio.load_economy(obj["economy"] if "economy" in obj else obj)
     if economy.n_agents == 1:
         result = homogeneous_spd(economy)
     else:
-        result = heterogeneous_equilibrium(economy, tol=config.tol or 1e-10)
-    _emit(config, hio.to_json_bytes(hio.dump_equilibrium(result)))
+        result = heterogeneous_equilibrium(economy, tol=args.tol)
+    _emit(args, hio.to_json_bytes(hio.dump_equilibrium(result)))
 
 
-def _load_iid(config: RunConfig) -> IIDEconomy:
-    if config.input is None:
-        return example_iid_economy(horizon=config.maturity or 1)
-    obj = _read_input(config)
+def _load_iid(args: argparse.Namespace) -> IIDEconomy:
+    if args.input is None:
+        return example_iid_economy()
+    obj = _read_input(args)
     return hio.load_iid(obj["iid"] if "iid" in obj else obj)
 
 
-def cmd_bond_curve(config: RunConfig) -> None:
-    econ = _load_iid(config)
-    grid = _parse_grid(config.beta_grid or "0:1:0.01", "beta-grid")
-    rows = bond_curve(econ, config.maturity or econ.horizon, grid)
-    _emit(config, _csv(rows, "beta,value"))
+def cmd_bond_curve(args: argparse.Namespace) -> None:
+    econ = _load_iid(args)
+    maturity = econ.horizon if args.maturity is None else args.maturity
+    grid = _parse_grid(args.beta_grid, "beta-grid")
+    rows = bond_curve(econ, maturity, grid)
+    _emit(args, _csv(rows, "beta,value"))
 
 
-def cmd_lucas_curve(config: RunConfig) -> None:
-    econ = _load_iid(config)
-    grid = _parse_grid(config.beta_grid or "0:1:0.01", "beta-grid")
+def cmd_lucas_curve(args: argparse.Namespace) -> None:
+    econ = _load_iid(args)
+    grid = _parse_grid(args.beta_grid, "beta-grid")
     rows = lucas_curve(econ, grid)
-    _emit(config, _csv(rows, "beta,value"))
+    _emit(args, _csv(rows, "beta,value"))
 
 
-def cmd_verify(config: RunConfig) -> None:
+def cmd_verify(args: argparse.Namespace) -> None:
     manifest = dict(DEFAULT_MANIFEST)
-    if config.input:
-        obj = _read_input(config)
+    if args.input:
+        obj = _read_input(args)
         manifest = obj.get("suites", obj) if isinstance(obj, dict) else obj
         # bool is an int subclass; a count must be a plain integer
         if not isinstance(manifest, dict) or not all(
                 name in SUITES and type(n) is int and n >= 0 for name, n in manifest.items()):
             raise SchemaError("suites", "expected an object mapping suite names to "
                                         "non-negative integer instance counts")
-    report = run_suites(manifest, config.seed)
-    _emit(config, hio.to_json_bytes(report))
+    report = run_suites(manifest, args.seed)
+    _emit(args, hio.to_json_bytes(report))
     if not report["all_passed"]:
         raise ConvergenceError("verification suites reported failures")
 
 
-HANDLERS = {
-    "spd": cmd_spd,
-    "solve": cmd_solve,
-    "bounds": cmd_bounds,
-    "asymptotics": cmd_asymptotics,
-    "equilibrium": cmd_equilibrium,
-    "bond-curve": cmd_bond_curve,
-    "lucas-curve": cmd_lucas_curve,
-    "verify": cmd_verify,
+# Each flag a command may take beyond --input and --output: its type and help.
+FLAGS = {
+    "tol": (float, "tolerance of the solver's stopping test (default %(default)s)"),
+    "eps0-grid": (str, "initial endowments eps0, increasing: a:b:step or comma-separated "
+                       "values (default %(default)s)"),
+    "beta-grid": (str, "habit strengths beta: a:b:step or comma-separated values "
+                       "(default %(default)s)"),
+    "maturity": (int, "bond maturity in periods, at least 1 (default the economy horizon)"),
+    "seed": (int, "seed of the randomized suites (default %(default)s)"),
+}
+
+BETA_GRID = "0:1:0.01"
+
+# Each command: its handler and the flags it reads, with their defaults.
+COMMANDS = {
+    "spd": (cmd_spd, {}),
+    "solve": (cmd_solve, {"tol": FOC_TOL}),
+    "bounds": (cmd_bounds, {"tol": FOC_TOL}),
+    "asymptotics": (cmd_asymptotics, {"tol": FOC_TOL, "eps0-grid": "1e1,1e2,1e3,1e4,1e5"}),
+    "equilibrium": (cmd_equilibrium, {"tol": WEIGHT_TOL}),
+    "bond-curve": (cmd_bond_curve, {"beta-grid": BETA_GRID, "maturity": None}),
+    "lucas-curve": (cmd_lucas_curve, {"beta-grid": BETA_GRID}),
+    "verify": (cmd_verify, {"seed": DEFAULT_SEED}),
 }
 
 EXIT_CODES = (
@@ -255,31 +245,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="habitree",
         description="Event-tree habit-utility optimization, bounds and equilibrium pricing")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, defaults) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if name in ("bond-curve", "lucas-curve"):
-            p.add_argument("--beta-grid", default=None, dest="beta_grid",
-                           help="a:b:step or comma-separated values")
-            p.add_argument("--maturity", type=int, default=None)
-        if name == "asymptotics":
-            p.add_argument("--eps0-grid", default=None, dest="eps0_grid",
-                           help="comma-separated increasing values")
+        p.add_argument("--input", help="JSON input file")
+        p.add_argument("--output", help="output file (default stdout)")
+        for flag, default in defaults.items():
+            kind, text = FLAGS[flag]
+            p.add_argument("--" + flag, type=kind, default=default, help=text)
     return parser
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    # a NaN tolerance would let every residual test pass
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise SchemaError("tol", "tolerances must be positive and finite")
+    if getattr(args, "maturity", None) is not None and args.maturity < 1:
+        raise SchemaError("maturity", "a bond matures at least one period ahead")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(command=args.command, input=args.input, output=args.output,
-                           tol=args.tol, seed=args.seed,
-                           beta_grid=getattr(args, "beta_grid", None),
-                           eps0_grid=getattr(args, "eps0_grid", None),
-                           maturity=getattr(args, "maturity", None))
-        HANDLERS[config.command](config)
+        _check_flags(args)
+        COMMANDS[args.command][0](args)
     except HabitreeError as exc:
         code = next((c for cls, c in EXIT_CODES if isinstance(exc, cls)), 1)
         err = {"error": type(exc).__name__, "message": str(exc)}

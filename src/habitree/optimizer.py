@@ -502,11 +502,6 @@ def _phase1_interior(endowed: _Endowed):
 
     LK = endowed.problem.LK
     n, m = LK.shape
-    if m == 0:
-        s = endowed.Lbase
-        if np.min(s) <= SURPLUS_FLOOR:
-            raise InfeasibleProblemError("no tradeable coordinates and endowment surplus not positive")
-        return np.zeros(0)
     # A_ub = [-LK, 1] as triplets (linprog hands HiGHS a copy in CSC)
     A_ub = sparse.coo_array((np.concatenate([-LK.val, np.ones(n)]),
                              (np.concatenate([LK.row, np.arange(n)]),
@@ -886,8 +881,6 @@ def _maximize_interior(endowed: _Endowed, theta0: np.ndarray) -> np.ndarray:
     from scipy import optimize
 
     problem, Lbase = endowed.problem, endowed.Lbase
-    if problem.n_theta == 0:
-        return theta0
     theta = theta0.copy()
     # BFGS takes thousands of products with LK on at most ~200 coordinates;
     # a dense copy spares each one the sparse operator's call overhead
@@ -936,10 +929,13 @@ def brute_force_oracle(market: MarketSpec, agent: AgentSpec) -> SolveResult:
 
     An independent check on :func:`solve_consumption`: log-barrier path
     following with a generic quasi-Newton minimizer, sharing only the
-    problem assembly.  Limited to small instances (<= ~200 coordinates).
+    problem assembly.  Limited to small instances (<= ~200 coordinates) with
+    at least one period: a one-node tree has no coordinates to search.
     """
     if np.all(agent.endowment.values == 0.0):
         raise SchemaError("endowment", "endowment must not be identically zero")
+    if market.tree.horizon == 0:
+        raise ValueError("a one-node tree has no decision variables for the oracle")
     M = market.spd.values
     p = market.tree.probabilities()
     pv = float(np.sum(p * M * agent.endowment.values))

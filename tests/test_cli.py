@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import habitree.instances as gi
 from habitree import EventTree, SchemaError, intermediate_partitions, validate_market_class
 from habitree import io as hio
-from habitree.cli import RunConfig, build_parser, main
+from habitree.cli import build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -372,7 +373,8 @@ def test_load_iid_rejects_numbers_beyond_the_float_range(edit, field):
     assert info.value.field == field
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+# a NaN tolerance would let every residual test pass
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_cli_bad_tolerance_is_a_schema_error(tmp_path, tol):
     path = write_json(tmp_path, "desk.json", _desk_document())
     rc, out, err = run_cli(["equilibrium", "--input", path, "--tol", tol])
@@ -478,15 +480,56 @@ def test_cli_verify_deterministic_given_seed(tmp_path):
     assert out1 == out2 and rc1 == rc2 == 0
 
 
-def test_run_config_validation():
-    with pytest.raises(SchemaError):
-        RunConfig(command="unknown")
-    with pytest.raises(SchemaError):
-        RunConfig(command="solve", tol=-1.0)
-    # a NaN tolerance would let every residual test pass
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(SchemaError):
-            RunConfig(command="equilibrium", tol=tol)
+def _schema_error_field(argv, capsys):
+    """Exit code 2 with nothing on stdout; the field of the JSON error."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return json.loads(err)["field"]
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds", "asymptotics"])
+def test_cli_every_tolerance_is_checked(market_agent_input, capsys, command):
+    argv = [command, "--input", market_agent_input, "--tol", "-1"]
+    assert _schema_error_field(argv, capsys) == "tol"
+
+
+def test_cli_bond_maturity_must_be_at_least_one(iid_input, capsys):
+    for argv in (["bond-curve", "--maturity", "0"],
+                 ["bond-curve", "--input", iid_input, "--maturity", "-1"]):
+        assert _schema_error_field(argv, capsys) == "maturity"
+
+
+@pytest.mark.parametrize("argv", [
+    ["unknown"],
+    ["spd", "--tol", "1e-9"],
+    ["solve", "--seed", "1"],
+    ["lucas-curve", "--maturity", "3"],
+    ["verify", "--tol", "1e-9"],
+], ids=["unknown-command", "spd-tol", "solve-seed", "lucas-maturity", "verify-tol"])
+def test_cli_rejects_a_flag_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("spd", []),
+    ("solve", ["--tol"]),
+    ("bounds", ["--tol"]),
+    ("asymptotics", ["--tol", "--eps0-grid"]),
+    ("equilibrium", ["--tol"]),
+    ("bond-curve", ["--beta-grid", "--maturity"]),
+    ("lucas-curve", ["--beta-grid"]),
+    ("verify", ["--seed"]),
+])
+def test_each_command_help_lists_only_the_flags_it_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--input", "--output", *flags}
 
 
 @pytest.mark.parametrize("spec", ["0.1,nan", "inf", "0:inf:0.1", "0:1:nan"])

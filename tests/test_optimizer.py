@@ -249,6 +249,28 @@ def test_oracle_size_guard():
         brute_force_oracle(big, agent)
 
 
+def test_oracle_rejects_a_zero_horizon_market():
+    # a one-node tree has no decision variables: its only plan consumes the
+    # endowment, which the closed form returns
+    market = gi.deterministic_market(0)
+    agent = AgentSpec(2.0, 0.0, static_habit_matrix(0.0, 0), AdaptedProcess.constant(market.tree, 1.0))
+    with pytest.raises(ValueError, match="no decision variables"):
+        brute_force_oracle(market, agent)
+    res = solve_consumption(market, agent)
+    assert res.method == "closed-form" and res.c.values.tolist() == [1.0]
+
+
+def test_oracle_reports_a_failed_phase1_lp(monkeypatch):
+    from scipy import optimize
+
+    class Failed:
+        success, message = False, "forced failure"
+
+    monkeypatch.setattr(optimize, "linprog", lambda *args, **kwargs: Failed())
+    with pytest.raises(ConvergenceError, match="phase-1 LP failed: forced failure"):
+        brute_force_oracle(*_one_period_unit_initial(0.5))
+
+
 # -- FOC residual ----------------------------------------------------------------
 
 
@@ -483,6 +505,58 @@ def test_infeasibility_is_decided_by_the_lp(monkeypatch):
     with pytest.raises(InfeasibleProblemError, match="habit floor not coverable"):
         solve_consumption(market, agent)
     assert calls == [("bond", False), ("lp", False)]
+
+
+def test_bond_start_whose_margin_leaves_no_surplus_falls_back_to_the_lp(monkeypatch):
+    # bisect the endowment v at one depth-1 node of a one-period market with
+    # beta = 2 to where the bond-account plan just covers its shortfall: at
+    # v = 0 it cannot, at v = 1 it can.  At the crossing the plan passes the
+    # slack test but leaves a surplus below SURPLUS_FLOOR, so the start
+    # returns None from its last line and the phase-1 LP decides
+    tree = EventTree.uniform(1, 3)
+    market = gi.random_general_market(np.random.default_rng(5), tree)
+    p, M = tree.probabilities(), market.spd.values
+
+    def instance(v):
+        vals = np.array([1.0, v, 1.0, 1.0])
+        agent = AgentSpec(2.0, 0.03, static_habit_matrix(2.0, 1), AdaptedProcess(tree, 1, vals))
+        return agent, _Endowed(_Problem(market, agent), vals / np.sum(p * M * vals))
+
+    def bond_plan_surplus(v):
+        """The bond-account plan's worst surplus, or None where the plan
+        does not cover the shortfall (its slack at margin 0 is not positive)."""
+        endowed = instance(v)[1]
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "SURPLUS_FLOOR", -np.inf)
+            theta = optimizer._bond_start(endowed)
+        return None if theta is None else np.min(endowed.surplus(theta))
+
+    lo, hi = 0.0, 1.0
+    assert bond_plan_surplus(lo) is None and bond_plan_surplus(hi) > optimizer.SURPLUS_FLOOR
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bond_plan_surplus(mid) is None else (lo, mid)
+    assert 0.0 < bond_plan_surplus(hi) <= optimizer.SURPLUS_FLOOR
+    agent, endowed = instance(hi)
+    assert np.min(endowed.Lbase) <= optimizer.SURPLUS_FLOOR
+    assert optimizer._bond_start(endowed) is None
+
+    from scipy import optimize
+
+    linprog, calls = optimize.linprog, []
+
+    def counted(*args, **kwargs):
+        calls.append(linprog(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(optimize, "linprog", counted)
+    try:
+        res = solve_consumption(market, agent)
+    except InfeasibleProblemError:
+        assert len(calls) == 1 and -calls[0].fun <= optimizer.SURPLUS_FLOOR
+    else:
+        assert len(calls) == 1 and calls[0].success
+        assert res.method == "newton" and res.foc_residual < 1e-9
 
 
 def test_bond_start_is_budget_neutral_and_strictly_feasible():
