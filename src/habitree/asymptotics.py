@@ -78,6 +78,19 @@ class AsymptoticsReport:
         return all(b < a for a, b in zip(errs[1:], errs[2:]))
 
 
+def check_eps0_grid(eps0_grid: Sequence[float]) -> list:
+    """The grid as floats; ValueError unless it has at least 4 points,
+    starts above 0, increases and spans at least 3 decades."""
+    grid = [float(e) for e in eps0_grid]
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("need an increasing eps_0 grid with at least 4 points")
+    if grid[0] <= 0.0:
+        raise ValueError("eps_0 must be positive")
+    if grid[-1] / grid[0] < 1e3:
+        raise ValueError("grid should span at least 3 decades")
+    return grid
+
+
 def propensity_sweep(market: MarketSpec, agent: AgentSpec, eps0_grid: Sequence[float],
                      tol: float = FOC_TOL) -> AsymptoticsReport:
     """Solve along an increasing eps_0 grid (agent's eps_1..eps_T fixed) and
@@ -93,11 +106,7 @@ def propensity_sweep(market: MarketSpec, agent: AgentSpec, eps0_grid: Sequence[f
     The decay rate is fitted by least squares on the log-log tail (last three
     grid points; the transient at small eps_0 contaminates the slope).
     """
-    grid = [float(e) for e in eps0_grid]
-    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("need an increasing eps_0 grid with at least 4 points")
-    if grid[-1] / grid[0] < 1e3:
-        raise ValueError("grid should span at least 3 decades")
+    grid = check_eps0_grid(eps0_grid)
     endowments = [unit_initial_endowment(agent).endowment.values]
     for e0 in grid:
         vals = agent.endowment.values.copy()

@@ -19,7 +19,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from . import io as hio
-from .asymptotics import propensity_sweep
+from .asymptotics import check_eps0_grid, propensity_sweep
 from .equilibrium import (
     WEIGHT_TOL,
     IIDEconomy,
@@ -145,7 +145,10 @@ def cmd_bounds(args: argparse.Namespace) -> None:
 def cmd_asymptotics(args: argparse.Namespace) -> None:
     obj = _read_input(args)
     market, agent = _market_and_agent(obj)
-    grid = _parse_grid(args.eps0_grid, "eps0-grid")
+    try:
+        grid = check_eps0_grid(_parse_grid(args.eps0_grid, "eps0-grid"))
+    except ValueError as exc:
+        raise SchemaError("eps0-grid", str(exc)) from None
     report = propensity_sweep(market, agent, grid, tol=args.tol)
     csv = _csv(report.sweep, "eps0,err_c,err_W")
     summary = {"fitted_rate": report.fitted_rate,

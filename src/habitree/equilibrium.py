@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,10 +81,11 @@ class EconomySpec:
         if np.any(agg <= 0.0):
             raise SchemaError("agents.endowment", "aggregate endowment must be strictly positive")
         self.aggregate = AdaptedProcess(self.tree, T, agg)
+        self.habits = static_habit_matrix(self.beta, T)
         # constants of the weight equation that excess_demand solves at every
         # node: the aggregate habit surplus per node, the gammas as a column,
         # and per agent and node e^{-rho_i k} and e^{-(rho_i/g_i) k} (k the depth)
-        self.node_surplus = habit_surplus(self.tree, static_habit_matrix(self.beta, T), agg)
+        self.node_surplus = habit_surplus(self.tree, self.habits, agg)
         self.surplus_min = float(np.min(self.node_surplus))
         self.gammas = np.array([[a.gamma] for a in self.agents])
         depth = self.tree.depth
@@ -95,6 +97,17 @@ class EconomySpec:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
+
+    # built on first use: every tatonnement step reads these, the closed form never does
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Unconditional node probabilities."""
+        return self.tree.probabilities()
+
+    @cached_property
+    def surplus_powers(self) -> np.ndarray:
+        """s^{-g_i} per agent and node for the aggregate habit surplus s."""
+        return self.node_surplus ** -self.gammas
 
 
 @dataclass
@@ -458,7 +471,7 @@ def heterogeneous_conditions(economy: EconomySpec) -> ConditionsReport:
     scale_margin = float(np.min((1.0 - beta) * eps.values))
     moment_margin = math.inf
     if surplus_margin > 0.0:
-        powers = economy.node_surplus ** -economy.gammas
+        powers = economy.surplus_powers
         worst = powers.max(axis=0)
         best = (np.array([[math.exp(-a.rho)] for a in economy.agents]) * powers).min(axis=0)
         for k in range(1, tree.horizon + 1):
@@ -479,15 +492,18 @@ _FLOAT_RANGE = "weight-equation root outside the floating-point range; rescale t
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
+def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray,
+                           start: Optional[np.ndarray] = None):
     """gtilde at every node: the unique y > 0 with sum_i coef_i y^{-1/g_i} =
     rhs, where rhs is the node's aggregate surplus and coef_i =
     lam_i^{1/g_i} e^{-(rho_i/g_i)k} at depth k; returned with coef (agents x
     nodes) and a per-depth mask of stalled solves.
 
     The map is strictly decreasing; brackets come from the single-agent
-    bounds, refined by safeguarded Newton to 1e-13 relative.  Every node runs
-    its own iteration and leaves the active set once it stops, all nodes
+    bounds, refined by safeguarded Newton to 1e-13 relative.  Node j starts
+    at start[j] when that lies strictly inside its bracket (a NaN, 0 or inf
+    does not), else at the bracket's geometric mean.  Every node runs its
+    own iteration and leaves the active set once it stops, all nodes
     stepping together on (agents x nodes) arrays with numpy powers.  A
     coefficient, bracket or root that is not a finite float, or a bracket or
     root that is not positive, raises ConditionError.
@@ -500,7 +516,7 @@ def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
     # rhs/N at N^{g_i} times that.  An exponent broadcast along the nodes is
     # never 2, 0.5 or -1 here: numpy raises those by square, sqrt or
     # reciprocal, whose bits differ from its power's.
-    single = lam[:, None] * economy.discount * rhs ** -gam
+    single = lam[:, None] * economy.discount * economy.surplus_powers
     lo = single.max(axis=0)
     hi = (single * N ** gam).max(axis=0)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
@@ -510,6 +526,8 @@ def _weight_equation_roots(economy: EconomySpec, lam: np.ndarray):
     C = np.concatenate([coef, -coef / gam])
     expo = np.concatenate([-1.0 / gam, -1.0 / gam - 1.0])
     y = np.sqrt(lo * hi)
+    if start is not None:
+        y = np.where((lo < start) & (start < hi), start, y)
     gt = np.full(len(rhs), np.nan)
     active = np.arange(len(rhs))
     # solve to machine precision: small agent weights divide the budget gap,
@@ -553,41 +571,48 @@ class DemandSystem:
     h: np.ndarray
 
 
-def excess_demand(economy: EconomySpec, lam: Sequence[float]) -> DemandSystem:
+def excess_demand(economy: EconomySpec, lam: Sequence[float],
+                  start: Optional[Sequence[float]] = None) -> DemandSystem:
     """Excess demand h(lambda) of the heterogeneous economy.
 
     Backward pass: gtilde_k solves the aggregated first-order equation (the
     weight equation) at each depth-k node, g_k = gtilde_k -
     beta E[gtilde_{k+1} | G_k] (g_T = gtilde_T).  The weight equation is
-    solved for every node of the tree at once; for k = T down to 0 a stalled
-    solve at depth k raises ConvergenceError before a nonpositive g_k raises
-    ConditionError; a coefficient, bracket or root beyond the float range
-    raises ConditionError first.  Forward pass:
+    solved for every node of the tree at once, node j's Newton iteration
+    starting at start[j] where that lies inside the node's bracket (a
+    tatonnement step passes the previous step's gtilde).  For k = T down to
+    0 a stalled solve at depth k raises ConvergenceError before a
+    nonpositive g_k raises ConditionError; a coefficient, bracket or root
+    beyond the float range raises ConditionError first.  Forward pass:
     c^i_k = beta c^i_{k-1} + e^{-(rho_i/g_i) k} lam_i^{1/g_i} gtilde_k^{-1/g_i}.  Then
     h_i = (sum_k E[g_k c^i_k] - sum_k E[g_k eps^i_k]) / lam_i: the scaled
     budget gap, zero for every agent exactly at equilibrium.  Walras' law
     sum_i lam_i h_i = 0 holds identically.  Weights must be positive and
-    finite (ValueError).
+    finite, and a start must hold one number per node (ValueError).
     """
     tree = economy.tree
     T = tree.horizon
     lam = np.asarray([float(l) for l in lam])
     if not np.all((lam > 0.0) & (lam < math.inf)):
         raise ValueError("agent weights must be strictly positive and finite")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (tree.n_nodes,):
+            raise ValueError(f"start must have shape ({tree.n_nodes},), got {start.shape}")
     if economy.surplus_min <= 0.0:
         raise ConditionError("aggregate habit surplus not positive; weight equation unsolvable")
-    gt, coef, stalled = _weight_equation_roots(economy, lam)
-    static = static_habit_matrix(economy.beta, T)
-    g = habit_adjoint(tree, static, gt)     # g_k = gtilde_k - beta E[gtilde_{k+1}|G_k]
-    for k in range(T, -1, -1):
-        if stalled[k]:
-            raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
-        if np.any(g[tree.depth_nodes[k]] <= 0.0):
-            raise ConditionError(
-                f"candidate SPD nonpositive at depth {k}; existence conditions violated")
+    gt, coef, stalled = _weight_equation_roots(economy, lam, start)
+    g = habit_adjoint(tree, economy.habits, gt)     # g_k = gtilde_k - beta E[gtilde_{k+1}|G_k]
+    if stalled.any() or np.any(g <= 0.0):
+        for k in range(T, -1, -1):
+            if stalled[k]:
+                raise ConvergenceError(f"weight-equation root solve stalled at period {k}")
+            if np.any(g[tree.depth_nodes[k]] <= 0.0):
+                raise ConditionError(
+                    f"candidate SPD nonpositive at depth {k}; existence conditions violated")
     # agent i's habit surplus is its term coef_i gtilde^{-1/g_i} of the weight equation
-    c = consumption_from_surplus(tree, static, (coef * gt ** (-1.0 / economy.gammas)).T).T
-    h = (c - economy.endowments) @ (tree.probabilities() * g) / lam
+    c = consumption_from_surplus(tree, economy.habits, (coef * gt ** (-1.0 / economy.gammas)).T).T
+    h = (c - economy.endowments) @ (economy.probabilities * g) / lam
     return DemandSystem(g, gt, c, h)
 
 
@@ -600,7 +625,7 @@ def _result_from_weights(economy: EconomySpec, lam: np.ndarray, system: DemandSy
     Mt = AdaptedProcess(tree, T, system.gtilde / g0)
     c = system.consumptions
     clearing = float(np.max(np.abs(c.sum(axis=0) - economy.aggregate.values)))
-    budget = float(np.max(np.abs((c - economy.endowments) @ (tree.probabilities() * M.values))))
+    budget = float(np.max(np.abs((c - economy.endowments) @ (economy.probabilities * M.values))))
     consumptions = tuple(AdaptedProcess(tree, T, ci) for ci in c)
     foc = max(_static_foc_residual(tree, Mt, ci, economy.beta, a.gamma, a.rho)
               for ci, a in zip(consumptions, economy.agents))
@@ -616,7 +641,8 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
     demand, then assemble the equilibrium.
 
     Damped multiplicative tatonnement lam_i <- lam_i exp(-kappa h_i/(1+|h_i|)),
-    renormalized to the simplex each step, kappa halved on oscillation; after
+    renormalized to the simplex each step, kappa halved on oscillation.  Each
+    step starts its weight equations at the previous step's roots.  After
     MAX_TATONNEMENT steps MINPACK ``hybr`` on the log-weight ratios takes over
     (``method="tatonnement+root"``), and the final excess demand decides
     success.  Scale is unidentified (h is homogeneous of degree zero), so the
@@ -635,8 +661,10 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
     kappa = 1.0
     walras = []
     prev_h = None
+    start = None
     for it in range(1, MAX_TATONNEMENT + 1):
-        system = excess_demand(economy, lam)
+        system = excess_demand(economy, lam, start)
+        start = system.gtilde
         h = system.h
         walras.append(float(np.dot(lam, h)))
         if np.max(np.abs(h)) < tol:
@@ -649,6 +677,7 @@ def heterogeneous_equilibrium(economy: EconomySpec, tol: float = WEIGHT_TOL) -> 
         lam = lam * np.exp(-kappa * h / (1.0 + np.abs(h)))
         lam = lam / lam.sum()
 
+    # hybr evaluates h in its own order, so it and this final check start cold
     lam = _weights_by_root_finding(economy, lam)
     system = excess_demand(economy, lam)
     walras.append(float(np.dot(lam, system.h)))

@@ -354,7 +354,7 @@ def habit_expectations(tree: EventTree, habits: np.ndarray, y: np.ndarray):
     y at depth k+1 only, so a caller may fill in y in place as the walk goes."""
     T = len(habits) - 1
     nz = habits != 0.0
-    lowest = [int(np.argmax(row)) if row.any() else T + 1 for row in nz]
+    lowest = np.where(nz.any(axis=1), nz.argmax(axis=1), T + 1).tolist()
     # running[m] = E[y_m | G_k], kept while row m has a nonzero at depth <= k
     running = {}
     for k in range(T - 1, -1, -1):

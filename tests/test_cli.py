@@ -494,6 +494,13 @@ def test_cli_every_tolerance_is_checked(market_agent_input, capsys, command):
     assert _schema_error_field(argv, capsys) == "tol"
 
 
+@pytest.mark.parametrize("grid", ["1,2", "1,10,100,200", "0,10,100,1000", "10,1,100,1000"],
+                         ids=["two-points", "under-3-decades", "zero-start", "decreasing"])
+def test_cli_bad_eps0_grid_is_a_schema_error(market_agent_input, capsys, grid):
+    argv = ["asymptotics", "--input", market_agent_input, "--eps0-grid", grid]
+    assert _schema_error_field(argv, capsys) == "eps0-grid"
+
+
 def test_cli_bond_maturity_must_be_at_least_one(iid_input, capsys):
     for argv in (["bond-curve", "--maturity", "0"],
                  ["bond-curve", "--input", iid_input, "--maturity", "-1"]):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,7 +30,7 @@ from habitree import (
     perturbed_spd,
     solve_consumption,
 )
-from habitree.equilibrium import heterogeneous_conditions
+from habitree.equilibrium import WEIGHT_TOL, heterogeneous_conditions
 from habitree.market import present_value
 from habitree.tree import cond_expectation_arrays
 
@@ -347,10 +349,12 @@ def _power(x, e):
     return float(np.power(np.array([x]), np.array([e]))[0])
 
 
-def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
+def _scalar_weight_root(economy, lam, k, rhs, fallbacks, start=None):
     """The per-node weight-equation solve that excess_demand replaced, kept
     as the bit-level reference; appends k to ``fallbacks`` whenever a
-    Newton step leaves the bracket and the geometric midpoint is taken."""
+    Newton step leaves the bracket and the geometric midpoint is taken.
+    Starts at ``start`` when that lies strictly inside the bracket, else at
+    the bracket's geometric mean."""
     agents = economy.agents
     N = len(agents)
     coef = [_power(lam[i], 1.0 / a.gamma) * math.exp(-(a.rho / a.gamma) * k)
@@ -366,7 +370,7 @@ def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
     def fprime(y):
         return sum(-c / a.gamma * _power(y, -1.0 / a.gamma - 1.0) for c, a in zip(coef, agents))
 
-    y = math.sqrt(lo * hi)
+    y = start if start is not None and lo < start < hi else math.sqrt(lo * hi)
     for _ in range(200):
         fy = f(y)
         if abs(fy) <= 4e-16 * rhs:
@@ -385,18 +389,22 @@ def _scalar_weight_root(economy, lam, k, rhs, fallbacks):
     raise AssertionError(f"reference solve stalled at period {k}")
 
 
-def _assert_gtilde_matches_scalar(economy, lam):
-    """Every node's gtilde equals the scalar reference bit for bit; returns
-    the depths at which the reference took its bisection fallback."""
+def _assert_gtilde_matches_scalar(economy, lam, start=None):
+    """Every node's gtilde, solved from ``start``, equals the scalar
+    reference started at the same point bit for bit; returns the depths at
+    which the reference took its bisection fallback."""
     lam = np.asarray([float(l) for l in lam])
-    system = excess_demand(economy, lam)
+    system = excess_demand(economy, lam, start)
     fallbacks = []
     for k in range(economy.tree.horizon + 1):
+        nodes = economy.tree.depth_nodes[k]
         rhs = economy.aggregate.at_depth(k) if k == 0 else (
             economy.aggregate.at_depth(k) - economy.beta
-            * economy.aggregate.values[economy.tree.parent[economy.tree.depth_nodes[k]]])
-        want = np.array([_scalar_weight_root(economy, lam, k, float(r), fallbacks) for r in rhs])
-        assert np.array_equal(system.gtilde[economy.tree.depth_nodes[k]], want), k
+            * economy.aggregate.values[economy.tree.parent[nodes]])
+        y0 = [None] * len(nodes) if start is None else [float(v) for v in start[nodes]]
+        want = np.array([_scalar_weight_root(economy, lam, k, float(r), fallbacks, y)
+                         for r, y in zip(rhs, y0)])
+        assert np.array_equal(system.gtilde[nodes], want), k
     return fallbacks
 
 
@@ -423,13 +431,136 @@ def test_vectorised_weight_solve_matches_scalar():
                 checked += 1
     assert checked > 100
     # a deeper tree with spread risk aversions
+    deep = _deep_economy()
+    for lam in ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3]):
+        _assert_gtilde_matches_scalar(deep, lam)
+
+
+def _deep_economy():
+    """Three agents with spread risk aversions on a binary tree of horizon 8."""
     base = gi.example_iid_economy(beta=0.1, horizon=8).tree_economy()
     tree = base.tree
     agents = tuple(EconomyAgent(g, r, AdaptedProcess(tree, tree.horizon, s * base.aggregate.values))
                    for g, r, s in zip((0.5, 2.0, 5.0), (0.0, 0.03, 0.05), (0.3, 0.5, 0.2)))
-    deep = EconomySpec(tree, 0.1, agents)
-    for lam in ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3]):
-        _assert_gtilde_matches_scalar(deep, lam)
+    return EconomySpec(tree, 0.1, agents)
+
+
+def _hetero_document_economy(seed):
+    """An economy drawn as perfbench's `hetero` documents are: three agent
+    types on a binary growth tree of horizon 8 (factors 0.95 and 1.08),
+    beta 0.1, each node's endowment split around mean shares 0.27, 0.19 and
+    0.54 with log-normal noise of scale 0.3."""
+    rng = np.random.default_rng(seed)
+    tree = EventTree.uniform(8, 2)
+    eps = np.ones(tree.n_nodes)
+    for k in range(1, 9):
+        nodes = tree.depth_nodes[k]
+        eps[nodes] = eps[tree.parent[nodes]] * np.array([0.95, 1.08])[tree.sibling_slot[nodes]]
+    types = ((0.5, 0.0, 0.27), (2.0, 0.02, 0.19), (5.0, 0.04, 0.54))
+    w = np.array([[m] for _, _, m in types]) * np.exp(0.3 * rng.standard_normal((3, tree.n_nodes)))
+    w /= w.sum(axis=0)
+    return EconomySpec(tree, 0.1, tuple(EconomyAgent(g, r, AdaptedProcess(tree, 8, wi * eps))
+                                        for (g, r, _), wi in zip(types, w)))
+
+
+def _admit_outside_the_conditions(monkeypatch):
+    """Let heterogeneous_equilibrium run where its sufficient existence
+    conditions fail.  The deep economy fails them (its aggregate grows 3-4x
+    a period, so the spread risk aversions break the moment inequality at
+    any beta > 0), yet tatonnement converges on it in 199 steps."""
+    import habitree.equilibrium as eqm
+
+    real = eqm.heterogeneous_conditions
+    monkeypatch.setattr(eqm, "heterogeneous_conditions",
+                        lambda econ: dataclasses.replace(real(econ), holds=True))
+
+
+def _tatonnement_calls(economy, monkeypatch):
+    """(weights, start) of every excess_demand call heterogeneous_equilibrium makes."""
+    import habitree.equilibrium as eqm
+
+    calls = []
+
+    def recorded(econ, lam, start=None):
+        calls.append((np.array(lam, dtype=float), None if start is None else start.copy()))
+        return excess_demand(econ, lam, start)
+
+    monkeypatch.setattr(eqm, "excess_demand", recorded)
+    heterogeneous_equilibrium(economy)
+    return calls
+
+
+def test_warm_started_weight_solve_matches_scalar(monkeypatch):
+    # each tatonnement step starts at the previous step's roots; the scalar
+    # reference started at the same point must give the same bits
+    desk = gi.desk_heterogeneous_economy()
+    calls = _tatonnement_calls(desk, monkeypatch)
+    assert calls[0][1] is None and all(start is not None for _, start in calls[1:])
+    for lam, start in calls:
+        _assert_gtilde_matches_scalar(desk, lam, start)
+    deep = _deep_economy()
+    _admit_outside_the_conditions(monkeypatch)
+    calls = _tatonnement_calls(deep, monkeypatch)
+    assert len(calls) == 199
+    for lam, start in calls[1:4] + calls[-2:]:
+        _assert_gtilde_matches_scalar(deep, lam, start)
+
+
+def test_weight_solve_start_outside_the_bracket_falls_back():
+    # nodes whose start is not strictly inside the bracket (far outside it,
+    # negative, NaN, 0 or inf) start at the geometric mean, as with no start
+    for economy, lam in ((gi.desk_heterogeneous_economy(), [0.6, 0.4]),
+                         (_deep_economy(), [0.2, 0.5, 0.3])):
+        cold = excess_demand(economy, lam).gtilde
+        n = economy.tree.n_nodes
+        bad = np.resize(np.array([1e6, 1e-6, -1.0, math.nan, 0.0, math.inf]), n)
+        bad[bad == 1e6] *= cold[bad == 1e6]
+        bad[bad == 1e-6] *= cold[bad == 1e-6]
+        _assert_gtilde_matches_scalar(economy, lam, bad)
+        assert np.array_equal(excess_demand(economy, lam, bad).gtilde, cold)
+        # half the nodes start at a nearby point, the rest outside
+        mixed = np.where(np.arange(n) % 2 == 0, cold * (1.0 + 1e-3), bad)
+        _assert_gtilde_matches_scalar(economy, lam, mixed)
+        warm = excess_demand(economy, lam, mixed).gtilde
+        assert np.array_equal(warm[1::2], cold[1::2])
+
+
+@pytest.mark.parametrize("shape", [(6,), (8,), (7, 1), (1, 7), ()])
+def test_weight_solve_start_needs_one_entry_per_node(shape):
+    desk = gi.desk_heterogeneous_economy()
+    assert desk.tree.n_nodes == 7
+    with pytest.raises(ValueError, match="start must have shape"):
+        excess_demand(desk, [0.6, 0.4], np.ones(shape))
+
+
+def _relative_gap(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("economy,conditions_hold", [
+    pytest.param(gi.desk_heterogeneous_economy, True, id="desk"),
+    pytest.param(_deep_economy, False, id="deep"),
+    *[pytest.param(lambda s=s: _hetero_document_economy(s), True, id=f"hetero-doc-{s}")
+      for s in range(4)],
+])
+def test_warm_and_cold_started_tatonnement_agree(economy, conditions_hold, monkeypatch):
+    import habitree.equilibrium as eqm
+
+    economy = economy()
+    assert heterogeneous_conditions(economy).holds == conditions_hold
+    if not conditions_hold:
+        _admit_outside_the_conditions(monkeypatch)
+    warm = heterogeneous_equilibrium(economy)
+    monkeypatch.setattr(eqm, "excess_demand", lambda econ, lam, start=None:
+                        excess_demand(econ, lam))
+    cold = heterogeneous_equilibrium(economy)
+    assert (warm.iterations, warm.method) == (cold.iterations, cold.method)
+    assert warm.method == "tatonnement"
+    assert _relative_gap(warm.M.values, cold.M.values) <= 1e-14
+    assert _relative_gap(warm.lambdas, cold.lambdas) <= 1e-14
+    for cw, cc in zip(warm.consumptions, cold.consumptions):
+        assert _relative_gap(cw.values, cc.values) <= 1e-14
 
 
 def test_stalled_weight_solve_reports_the_deepest_period(monkeypatch):
@@ -523,6 +654,50 @@ def test_heterogeneous_conditions_guard():
     assert not heterogeneous_conditions(econ).holds
     with pytest.raises(ConditionError):
         heterogeneous_equilibrium(econ)
+
+
+def test_excess_demand_needs_positive_aggregate_surpluses():
+    # eps_1 - beta eps_0 = 0.5 - 0.9 < 0: no weight equation to solve
+    tree = EventTree.single_path(1)
+    eps = AdaptedProcess(tree, 1, np.array([1.0, 0.5]))
+    econ = EconomySpec(tree, 0.9, (EconomyAgent(2.0, 0.0, eps),))
+    assert econ.surplus_min < 0.0
+    with pytest.raises(ConditionError, match="aggregate habit surplus not positive"):
+        excess_demand(econ, [1.0])
+
+
+def test_excess_demand_rejects_a_nonpositive_candidate_spd():
+    # surpluses 1 and 0.05 are positive, but beta = 0.9 outweighs the root
+    # period: g_0 = gtilde_0 - 0.9 gtilde_1 = 1 - 0.9 * 0.05^-2 < 0
+    tree = EventTree.single_path(1)
+    eps = AdaptedProcess(tree, 1, np.array([1.0, 0.95]))
+    econ = EconomySpec(tree, 0.9, (EconomyAgent(2.0, 0.0, eps),))
+    assert econ.surplus_min > 0.0
+    assert not heterogeneous_conditions(econ).holds
+    with pytest.raises(ConditionError, match="candidate SPD nonpositive at depth 0"):
+        excess_demand(econ, [1.0])
+
+
+def test_failed_tatonnement_and_root_finding_is_a_convergence_error(monkeypatch, tmp_path,
+                                                                   capsys):
+    import habitree.equilibrium as eqm
+    from habitree import io as hio
+    from habitree.cli import main
+
+    desk = gi.desk_heterogeneous_economy()
+    monkeypatch.setattr(eqm, "MAX_TATONNEMENT", 0)
+    monkeypatch.setattr(eqm, "_weights_by_root_finding", lambda economy, lam0: lam0)
+    with pytest.raises(ConvergenceError, match="after tatonnement \\+ root finding") as info:
+        heterogeneous_equilibrium(desk)
+    assert math.isfinite(info.value.residual) and info.value.residual >= WEIGHT_TOL
+    doc = {"economy": {"tree": hio.dump_tree(desk.tree), "beta": desk.beta, "agents": [
+        {"gamma": a.gamma, "rho": a.rho, "endowment": dict(zip(desk.tree.ids, a.endowment.values))}
+        for a in desk.agents]}}
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(doc))
+    assert main(["equilibrium", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ConvergenceError"
 
 
 def test_closed_forms_match_tree_sums_T5_three_point_support():
