@@ -6,8 +6,11 @@ writes, per run, the exit code and a sha256 of stdout followed by stderr to
 OUT.json, and the same with each stream's parsed output to OUT.values.json
 (the JSON tree; CSV columns merged with the `# summary` JSON; other text as
 is).  Inputs are two `perfbench/gen.py` documents (seed 7) of each kind:
-`solve`, `bounds`, `asymptotics` and `spd` on the market kinds,
-`equilibrium` on the economies and on the two-agent desk economy,
+`solve`, `bounds`, `asymptotics` and `spd` on the market kinds and on
+`classC_market.json` (a frozen class-C market with a deterministic rate;
+its `classC_blocks` section is not read, since the program derives H_k from
+the payoff spans), `equilibrium` on the economies and on the two-agent desk
+economy,
 `bond-curve` and `lucas-curve` on the bundled growth economy (defaults, and
 a bond at maturity 5 on a coarser grid), plus `verify` with the default seed
 and with seeds 1-3.
@@ -43,19 +46,24 @@ import gen  # noqa: E402
 MARKET_KINDS = ("complete", "incomplete", "factor", "factor-det", "small-market")
 ECONOMY_KINDS = ("hetero", "homogeneous")
 SEED, COUNT = 7, 2
+CLASSC = Path(__file__).resolve().parent / "classC_market.json"
+MARKET_COMMANDS = ("solve", "bounds", "asymptotics", "spd")
 SUMMARY = "# summary: "
 ABSOLUTE = {"foc_residual", "residuals", "walras_history", "suites"}
 
 
 def runs(workdir: Path):
     for kind in MARKET_KINDS + ECONOMY_KINDS:
-        commands = ("solve", "bounds", "asymptotics", "spd") if kind in MARKET_KINDS \
-            else ("equilibrium",)
+        commands = MARKET_COMMANDS if kind in MARKET_KINDS else ("equilibrium",)
         for i, text in enumerate(gen.documents(kind, SEED, COUNT)):
             path = workdir / f"{kind}-{i}.json"
             path.write_text(text)
             for command in commands:
                 yield f"{command} {path.name}", [command, "--input", path.name]
+    classc = workdir / CLASSC.name
+    classc.write_bytes(CLASSC.read_bytes())
+    for command in MARKET_COMMANDS:
+        yield f"{command} {classc.name}", [command, "--input", classc.name]
     desk = workdir / "desk-economy.json"
     desk.write_text(json.dumps(gen.desk_economy()))
     yield f"equilibrium {desk.name}", ["equilibrium", "--input", desk.name]

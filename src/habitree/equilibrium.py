@@ -335,10 +335,8 @@ def bond_derivative_beta(econ: IIDEconomy, T: int, beta: float, order: int = 1) 
     """
     e = econ.with_beta(beta) if beta != econ.beta else econ
     g, rho, b = e.gamma, e.rho, beta
-    G = e.moment(lambda x: x ** (-g))
-    A = e.moment(lambda x: (x - b) ** (-g))
+    G, A, D = _bond_moments(e)
     A1 = g * e.moment(lambda x: (x - b) ** (-g - 1.0))
-    D = 1.0 - b * math.exp(-rho) * A
     lead = math.exp(-rho * T) * G ** (T - 1)
     if order == 1:
         return lead * (A1 + math.exp(-rho) * A * A) / D ** 2

@@ -85,7 +85,7 @@ class BoundCoefficients:
     negepsU are the upper-hedging wealth processes of (eps_k) and (-eps_k).
     The identities delta_k = -epsU_k and deltap_k = negepsU_k hold by
     construction and are re-verified in tests from the independent hedging
-    recursion.  When some m_k <= 0 the bounds are vacuous and flagged.
+    recursion.  Every m_k lies in (0, 1] (see :func:`bound_coefficients`).
     """
 
     m: list
@@ -97,8 +97,6 @@ class BoundCoefficients:
     etap: dict
     epsU: list
     negepsU: list
-    vacuous: bool
-    vacuous_periods: tuple
 
 
 def _require_hypothesis(market: MarketSpec) -> MarketClassification:
@@ -118,7 +116,27 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
     Terminal seed m_T = 1, xi^T = 0; going backward the one-period-ahead
     alpha coefficients are discounted into m_k and xi^k_j, the endowment's
     hedging values enter through eta_k/eta'_k, and the perturbed-SPD ratio
-    e^{-rho/gamma} (Mtilde_k/Mtilde_{k-1})^{-1/gamma} drives alpha^k_j.
+    q_k = e^{-rho/gamma} (Mtilde_k/Mtilde_{k-1})^{-1/gamma} drives alpha^k_j.
+
+    The denominators D_k = 1/m_k = 1 + E[(M_{k+1}/M_k) alpha^{k+1}_k | G_k]
+    (D_T = 1) are at least 1, so every m_k lies in (0, 1] and no bound is
+    vacuous.  Proof: the alpha, xi and D recursions are linear and take no
+    esssup, so they are the coefficients of linear maps.  Fix a depth-k node
+    and the consumption c_0..c_k on its path, and extend the plan below it
+    by the rule s_n = q_n s_{n-1} (n > k) for the habit surplus
+    s_n = c_n - sum_{j<n} beta^(n)_j c_j.  Let V_k = c_k + sum_{n>k}
+    E[(M_n/M_k) c_n | G_k].  Backward induction shows that V_{k+1}, with
+    c_{k+1} set by the rule, is sum_{j<=k} alpha^{k+1}_j c_j (V_T = c_T), so
+    V_k = D_k c_k - D_k sum_{j<k} xi^k_j c_j, and D_k is dV_k/dc_k with
+    c_0..c_{k-1} held fixed.  Raising c_k by one raises s_k by one and each
+    later s_n by a product of q's, which is positive since Mtilde >= M > 0.
+    Then dc_n/dc_k = ds_n/dc_k + sum_{k<=j<n} beta^(n)_j dc_j/dc_k > 0 by
+    induction on n, as the habit coefficients are nonnegative.  Hence
+    D_k = 1 + sum_{n>k} E[(M_n/M_k) dc_n/dc_k | G_k] >= 1, and the same
+    argument at the root gives D_0 >= 1.  The off-diagonal alpha^k_j can be
+    large and negative; only the diagonal one enters D.  In floating point
+    D_k is 1 plus a rounded sum, so it can fall below 1 only by that
+    sum's roundoff.
     """
     cls = _require_hypothesis(market)
     tree = market.tree
@@ -140,7 +158,6 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
 
     m = [None] * (T + 1)
     xi, alpha, delta, deltap, eta, etap = {}, {}, {}, {}, {}, {}
-    vac = []
     for k in range(T, 0, -1):
         nk = len(tree.depth_nodes[k])
         if k == T:
@@ -155,9 +172,6 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
             D = 1.0 + exp_alpha[k]
             arg_up = eps.at_depth(k) - _discounted_cond_exp(tree, M, delta[k + 1], k)
             arg_lo = eps.at_depth(k) - _discounted_cond_exp(tree, M, deltap[k + 1], k)
-        if np.any(D <= 0.0):
-            vac.append(k)
-            D = np.where(D <= 0.0, np.nan, D)
         m[k] = 1.0 / D
         # xi enters the consumption bound additively, so it carries the
         # negated discounted next-period alpha
@@ -175,9 +189,6 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
     nodes1 = tree.depth_nodes[1]
     w1 = p[nodes1] * M.at_depth(1)
     D0 = 1.0 + float(np.sum(w1 * alpha[(1, 0)]))
-    if D0 <= 0.0:
-        vac.append(0)
-        D0 = np.nan
     m[0] = np.array([1.0 / D0])
     eta[0] = np.array([-float(np.sum(w1 * deltap[1])) / D0])
     etap[0] = np.array([-float(np.sum(w1 * delta[1])) / D0])
@@ -185,8 +196,7 @@ def bound_coefficients(market: MarketSpec, agent: AgentSpec) -> BoundCoefficient
     epsU = upper_hedging(market, eps, H)
     neg = AdaptedProcess(tree, T, -eps.values)
     negepsU = upper_hedging(market, neg, H)
-    return BoundCoefficients(m, xi, alpha, delta, deltap, eta, etap,
-                             epsU, negepsU, bool(vac), tuple(sorted(vac)))
+    return BoundCoefficients(m, xi, alpha, delta, deltap, eta, etap, epsU, negepsU)
 
 
 def delta_identity_gap(coeffs: BoundCoefficients) -> float:
@@ -223,7 +233,6 @@ class PeriodBounds:
 @dataclass
 class SandwichReport:
     rows: list
-    vacuous: bool
 
     def min_slack(self) -> float:
         return min(r.slack for r in self.rows) if self.rows else float("inf")
@@ -272,4 +281,4 @@ def check_sandwich(market: MarketSpec, agent: AgentSpec, result: SolveResult,
         rows.append(PeriodBounds(k, "wealth",
                                  alpha_sum + coeffs.delta[k], W[nodes],
                                  alpha_sum + coeffs.deltap[k]))
-    return SandwichReport(rows, coeffs.vacuous)
+    return SandwichReport(rows)

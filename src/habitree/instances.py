@@ -89,9 +89,17 @@ def _random_sibling_partition(rng: np.random.Generator, kids) -> list:
 
 def random_classC_market(rng: np.random.Generator, tree: EventTree,
                          deterministic_rate: bool = False) -> MarketSpec:
-    """Market whose payoff spaces are exactly the block-measurable claims of
-    random intermediate partitions H_k, with the SPD one-period ratios
-    H-measurable by construction."""
+    """The market of :func:`random_classC_instance`."""
+    return random_classC_instance(rng, tree, deterministic_rate)[0]
+
+
+def random_classC_instance(rng: np.random.Generator, tree: EventTree,
+                           deterministic_rate: bool = False) -> tuple:
+    """(market, partitions): a market whose payoff spaces are exactly the
+    block-measurable claims of random intermediate partitions H_k (one per
+    depth 1..T), with the SPD one-period ratios H-measurable by
+    construction.  The partitions are the generator's own, an independent
+    truth for the blocks that classification derives from the payoffs."""
     T = tree.horizon
     partitions = []
     for k in range(1, T + 1):
@@ -163,7 +171,7 @@ def random_classC_market(rng: np.random.Generator, tree: EventTree,
         assets.append(Asset(f"c{j}",
                             AdaptedProcess.from_depth_arrays(tree, price),
                             AdaptedProcess.from_depth_arrays(tree, div)))
-    return MarketSpec(tree, tuple(assets), interest, classC=tuple(partitions))
+    return MarketSpec(tree, tuple(assets), interest), tuple(partitions)
 
 
 def product_tree(f_tree: EventTree, noise_branch: int, rng: np.random.Generator):

@@ -3,7 +3,8 @@
 Tree:    {"horizon": T, "nodes": [{"id": str, "parent": str|null, "prob": f}]}
 Market:  tree fields plus "assets": [{"name", "prices": {id: f},
          "dividends": {id: f}}], "interest": {id: f}, and optionally
-         "classC_blocks" / "idio_factor": {depth(str): [[ids], ...]}.
+         "idio_factor": {depth(str): [[ids], ...]}.  The intermediate
+         partitions H_k follow from the payoff spans and are not read.
 Agent:   {"gamma": f, "rho": f, "beta": f | "beta_matrix": [[...], ...],
          "endowment": {id: f}}.
 Economy: {"tree": {...}, "beta": f, "agents": [{"gamma", "rho", "endowment"}]}.
@@ -167,7 +168,6 @@ def load_market(obj: dict) -> MarketSpec:
                                          set(range(1, tree.horizon + 1)), default=0.0)
         assets.append(Asset(name, prices, dividends))
     return MarketSpec(tree, tuple(assets), interest,
-                      classC=_load_partitions(obj, tree, "classC_blocks"),
                       idio=_load_partitions(obj, tree, "idio_factor"))
 
 
@@ -181,10 +181,9 @@ def dump_market(market: MarketSpec) -> dict:
         "prices": _process_map(tree, a.prices.values),
         "dividends": _process_map(tree, a.dividends.values, 1),
     } for a in market.assets]
-    for field, parts in (("classC_blocks", market.classC), ("idio_factor", market.idio)):
-        if parts is not None:
-            out[field] = {str(part.depth): [[tree.ids[i] for i in b] for b in part.blocks]
-                          for part in parts}
+    if market.idio is not None:
+        out["idio_factor"] = {str(part.depth): [[tree.ids[i] for i in b] for b in part.blocks]
+                              for part in market.idio}
     return out
 
 

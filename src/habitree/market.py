@@ -15,7 +15,7 @@ habit-adjusted consumption and feeds the optimizer's first-order conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -79,14 +79,14 @@ class BasisGroup:
 @dataclass
 class MarketSpec:
     """Tree market: assets, predictable nonnegative interest, and optional
-    conditioning structure (intermediate partitions H_k, idiosyncratic factor
-    partitions F_k).  Construction validates the data and computes the
-    aggregate SPD, rejecting markets without a strictly positive one."""
+    idiosyncratic factor partitions F_k.  Construction validates the data and
+    computes the aggregate SPD, rejecting markets without a strictly positive
+    one.  The intermediate partitions H_k are not an input: they follow from
+    the payoff spans (:func:`validate_market_class`)."""
 
     tree: EventTree
     assets: tuple
     interest: AdaptedProcess
-    classC: Optional[tuple] = None      # Partition per depth k=1..T
     idio: Optional[tuple] = None        # Partition per depth k=1..T (F_k)
     _groups: list = field(init=False, repr=False)
     _complete: bool = field(init=False, repr=False)
@@ -112,15 +112,12 @@ class MarketSpec:
             if len(bad):
                 u = tree.depth_nodes[k - 1][bad[0]]
                 raise SchemaError("interest", f"rate not predictable below node {tree.ids[int(u)]}")
-        for part_set, name in ((self.classC, "classC_blocks"), (self.idio, "idio_factor")):
-            if part_set is not None:
-                if len(part_set) != T:
-                    raise SchemaError(name, f"need one partition per depth 1..{T}")
-                for k, part in enumerate(part_set, start=1):
-                    if part.depth != k:
-                        raise SchemaError(name, f"partition {k} has depth {part.depth}")
-                if name == "classC_blocks" and not all(p.is_intermediate() for p in part_set):
-                    raise SchemaError(name, "blocks must refine the parent atoms")
+        if self.idio is not None:
+            if len(self.idio) != T:
+                raise SchemaError("idio_factor", f"need one partition per depth 1..{T}")
+            for k, part in enumerate(self.idio, start=1):
+                if part.depth != k:
+                    raise SchemaError("idio_factor", f"partition {k} has depth {part.depth}")
         self._groups = [None] + [self._build_groups(k) for k in range(1, T + 1)]
         self._complete = all(len(g.kept_cols) == g.kids.shape[1]
                              for groups in self._groups[1:] for g in groups)
@@ -441,7 +438,7 @@ def present_value(tree: EventTree, M: AdaptedProcess, payments: AdaptedProcess, 
 @dataclass
 class MarketClassification:
     """Constructively verified labels plus the intermediate partitions that
-    witness the class-C property (explicit or derived)."""
+    witness the class-C property, derived from the payoff spans."""
 
     labels: frozenset
     classC_partitions: Optional[tuple] = None
@@ -451,15 +448,6 @@ def _projections(g: BasisGroup) -> np.ndarray:
     """Matrices of the orthogonal projection onto each atom's payoff span in
     the weighted inner product, stacked (G, b, b)."""
     return np.matmul(g.onb, g.onb.transpose(0, 2, 1) * g.cond_probs[:, None, :])
-
-
-def _is_condexp(proj: np.ndarray, same: np.ndarray, w: np.ndarray) -> bool:
-    """True when the stacked projections equal conditional expectation onto
-    blocks of each atom's children; same[g, i, j] says children i and j of
-    atom g share a block, w holds the child weights."""
-    mass = np.where(same, w[:, None, :], 0.0).sum(axis=2)
-    E = np.where(same, w[:, None, :] / mass[:, :, None], 0.0)
-    return not np.max(np.abs(proj - E)) > 1e-10
 
 
 def _derive_intermediate(market: MarketSpec, k: int) -> Optional[Partition]:
@@ -477,26 +465,16 @@ def _derive_intermediate(market: MarketSpec, k: int) -> Optional[Partition]:
         # each squaring doubles the path length covered; b - 1 suffices
         for _ in range(max(b - 2, 0).bit_length()):
             reach = np.matmul(reach, reach)
-        if not _is_condexp(proj, reach, g.cond_probs):
+        # the projection must be conditional expectation onto those blocks
+        w = g.cond_probs[:, None, :]
+        mass = np.where(reach, w, 0.0).sum(axis=2)
+        if np.max(np.abs(proj - np.where(reach, w / mass[:, :, None], 0.0))) > 1e-10:
             return None
         # label each child by its first block-mate
         first[g.kids] = np.take_along_axis(g.kids, reach.argmax(axis=2), axis=1)
     order = np.argsort(first, kind="stable")
     starts = np.flatnonzero(np.diff(first[order]))
     return Partition(tree, k, tuple(np.split(tree.n_upto(k - 1) + order, starts + 1)))
-
-
-def _verify_classC(market: MarketSpec, partitions: Sequence[Partition]) -> bool:
-    """Projection equals conditional expectation onto each (intermediate)
-    partition."""
-    for k, part in enumerate(partitions, start=1):
-        label = part.block_index()
-        for g in market.basis_groups(k):
-            lab = label[g.kids]
-            if not _is_condexp(_projections(g), lab[:, :, None] == lab[:, None, :],
-                               g.cond_probs):
-                return False
-    return True
 
 
 def _verify_idiosyncratic(market: MarketSpec) -> bool:
@@ -544,21 +522,18 @@ def validate_market_class(market: MarketSpec) -> MarketClassification:
     """Classify the market, verifying each label constructively.
 
     Labels: 'complete', 'classC' (projection equals conditional expectation
-    onto an intermediate partition, explicit or derived), 'idiosyncratic'
-    (explicit factor filtration satisfying the definition), and
-    'deterministic-rate'.  When nothing holds the label is {'general'}.
+    onto an intermediate partition: the singletons on a complete market, else
+    the blocks :func:`_derive_intermediate` finds in the payoff spans),
+    'idiosyncratic' (explicit factor filtration satisfying the definition),
+    and 'deterministic-rate'.  When nothing holds the label is {'general'}.
     """
     tree = market.tree
     labels = set()
     partitions = None
     if market.is_complete():
-        labels.add("complete")
-        labels.add("classC")
+        labels.update(("complete", "classC"))
         partitions = tuple(Partition.singletons(tree, k) for k in range(1, tree.horizon + 1))
-    if market.classC is not None and _verify_classC(market, market.classC):
-        labels.add("classC")
-        partitions = tuple(market.classC)
-    if "classC" not in labels:
+    else:
         derived = tuple(_derive_intermediate(market, k) for k in range(1, tree.horizon + 1))
         if all(d is not None for d in derived):
             labels.add("classC")
@@ -573,16 +548,16 @@ def validate_market_class(market: MarketSpec) -> MarketClassification:
 
 
 def intermediate_partitions(market: MarketSpec) -> tuple:
-    """The H_k partitions used by hedging and the bound recursions: explicit
-    class-C blocks, else derived ones.  On a verified idiosyncratic market
-    the derived blocks are sigma(G_{k-1}, F_k)."""
+    """The H_k partitions used by hedging and the bound recursions, derived
+    from the payoff spans (singletons on a complete market).  On a verified
+    idiosyncratic market they are sigma(G_{k-1}, F_k)."""
     return partitions_of_class(validate_market_class(market))
 
 
 def partitions_of_class(cls: MarketClassification) -> tuple:
     """:func:`intermediate_partitions` from an existing classification."""
     if cls.classC_partitions is None:
-        raise MarketError("market has no class-C structure (explicit or derived)")
+        raise MarketError("market has no class-C structure (derived from its payoff spans)")
     return cls.classC_partitions
 
 

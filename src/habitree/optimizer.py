@@ -41,7 +41,10 @@ result's ``method``:
 Either route checks the first-order residual of its result against ``tol``
 and raises ConvergenceError when it is not met; Newton also stops, with the
 same error, on a singular Newton system, a failed line search, a residual
-that stagnates in the quadratic basin or MAX_NEWTON_ITER iterations.
+that stagnates in the quadratic basin or MAX_NEWTON_ITER iterations.  The
+residual is homogeneous of degree 0 in the endowment, and where the
+supporting SPD leaves the float range it is read off the plan at unit
+present value, so endowments that differ only in scale pass or fail alike.
 
 ``brute_force_oracle`` is the independent check: direct concave maximization
 over the same wealth coordinates by log-barrier path following with a generic
@@ -66,6 +69,7 @@ MAX_NEWTON_ITER = 200
 STALL_STEPS = 3
 BACKTRACK = 0.5
 SURPLUS_FLOOR = 1e-12
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass
@@ -522,10 +526,18 @@ def _phase1_interior(endowed: _Endowed):
 # -- per-depth maps shared by both routes -------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _supporting_spd(agent: AgentSpec, tree, s: np.ndarray) -> np.ndarray:
-    """Positive SPD of the first-order conditions at habit surplus s."""
+    """Positive SPD of the first-order conditions at habit surplus s; 0 or
+    inf where s^-gamma leaves the float range."""
     phi = np.exp(-agent.rho * tree.depth.astype(float)) * s ** (-agent.gamma)
     return habit_adjoint(tree, agent.habits, phi)
+
+
+def in_float_range(x: np.ndarray) -> bool:
+    """True when every entry of x is a positive normal float, so that ratios
+    of entries keep full precision."""
+    return bool(np.all((x >= _TINY) & (x <= _HUGE)))
 
 
 def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
@@ -555,9 +567,19 @@ def _foc_residual(market: MarketSpec, R: np.ndarray) -> float:
     return worst
 
 
-def _foc_residual_on(market: MarketSpec, agent: AgentSpec, c: np.ndarray) -> float:
+def _foc_residual_on(market: MarketSpec, agent: AgentSpec, c: np.ndarray,
+                     R: Optional[np.ndarray] = None) -> float:
+    """:func:`_foc_residual` of plan c, whose supporting SPD R may be passed
+    in.  The residual is homogeneous of degree 0 in c, so where R leaves the
+    normal float range (far from unit scale, where s^-gamma over- or
+    underflows) it is read off c at unit present value instead."""
     tree = market.tree
-    return _foc_residual(market, _supporting_spd(agent, tree, habit_surplus(tree, agent.habits, c)))
+    if R is None:
+        R = _supporting_spd(agent, tree, habit_surplus(tree, agent.habits, c))
+    if not in_float_range(R):
+        c = c / float(np.sum(tree.probabilities() * market.spd.values * c))
+        R = _supporting_spd(agent, tree, habit_surplus(tree, agent.habits, c))
+    return _foc_residual(market, R)
 
 
 def _utility_of_surplus(agent: AgentSpec, tree, s: np.ndarray) -> float:
@@ -567,7 +589,7 @@ def _utility_of_surplus(agent: AgentSpec, tree, s: np.ndarray) -> float:
         return -np.inf
     p = tree.probabilities()
     pw = p * np.exp(-agent.rho * tree.depth.astype(float))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         terms = s ** (1.0 - agent.gamma)
     return float(np.sum(pw * terms) / (1.0 - agent.gamma))
 
@@ -592,7 +614,7 @@ def _result(market: MarketSpec, agent: AgentSpec, c: np.ndarray, W: np.ndarray,
         W=AdaptedProcess(tree, tree.horizon, W),
         R=AdaptedProcess(tree, tree.horizon, R),
         utility=_utility_of_surplus(agent, tree, s),
-        foc_residual=_foc_residual(market, R),
+        foc_residual=_foc_residual_on(market, agent, c, R),
         iterations=iterations,
         method=method,
     )

@@ -329,9 +329,10 @@ class Partition:
     """Grouping of same-depth nodes into disjoint covering blocks.
 
     Represents a sub-sigma-algebra of the depth-`depth` information set:
-    an intermediate sigma-algebra between consecutive depths, or an
+    an intermediate sigma-algebra between consecutive depths (derived from
+    the payoff spans, so each block lies in one sibling group), or an
     idiosyncratic factor sigma-algebra (whose blocks may span sibling
-    groups; use :meth:`is_intermediate` when the former is required).
+    groups).
     """
 
     tree: EventTree
@@ -396,17 +397,6 @@ class Partition:
         out[np.concatenate(self.blocks) - self.tree.n_upto(self.depth - 1)] = \
             np.repeat(np.arange(len(sizes)), sizes)
         return out
-
-    def is_intermediate(self) -> bool:
-        """True when each block sits inside one sibling group, i.e. the
-        generated sigma-algebra contains the depth-(k-1) information set."""
-        if self.depth == 0:
-            return True
-        for b in self.blocks:
-            parents = {int(self.tree.parent[i]) for i in b}
-            if len(parents) != 1:
-                return False
-        return True
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import habitree.instances as gi
-from habitree import EventTree, SchemaError, intermediate_partitions, validate_market_class
-from habitree import io as hio
+from habitree import (AdaptedProcess, AgentSpec, EventTree, SchemaError, intermediate_partitions,
+                      static_habit_matrix, validate_market_class)
+from habitree import io as hio, optimizer
 from habitree.cli import build_parser, main
 
 
@@ -83,10 +84,23 @@ def test_market_json_round_trip_keeps_partitions(make):
     parts = intermediate_partitions(market)
     for back in (once, twice):
         assert back.tree.ids == market.tree.ids
-        assert (back.classC is None) == (market.classC is None)
         assert (back.idio is None) == (market.idio is None)
         assert validate_market_class(back).labels == want.labels
         assert [p.blocks for p in intermediate_partitions(back)] == [p.blocks for p in parts]
+
+
+def test_market_json_classC_blocks_section_is_not_read():
+    """H_k comes from the payoff spans: a leftover `classC_blocks` section,
+    even one that names no real node, leaves the market as it is."""
+    rng = np.random.default_rng(93)
+    market, truth = gi.random_classC_instance(rng, gi.random_tree(rng, min_depth=2))
+    obj = hio.dump_market(market)
+    assert "classC_blocks" not in obj
+    obj["classC_blocks"] = {"1": [["no-such-node"]]}
+    back = hio.load_market(obj)
+    assert hio.dump_market(back) == hio.dump_market(market)
+    assert [set(p.blocks) for p in intermediate_partitions(back)] == \
+        [set(p.blocks) for p in truth]
 
 
 def test_agent_json_beta_matrix_forms():
@@ -580,6 +594,131 @@ def test_main_returns_zero_in_process(tmp_path, iid_input, capsys):
     assert rc == 0
     text = (tmp_path / "out.csv").read_text()
     assert text.startswith("beta,value")
+
+
+# -- endowments that differ only in scale ------------------------------------------
+
+SCALE_EXPONENTS = range(-300, 301, 10)
+
+
+def _scale_route(route):
+    """(market, agent) whose solve takes ``route``: the closed form (complete
+    market, gamma 4), or Newton started at the endowment, at the bond
+    account or at the phase-1 LP point (gamma 2)."""
+    if route == "closed-form":
+        rng = np.random.default_rng(7)
+        tree = gi.random_tree(rng, min_depth=2)
+        market = gi.random_complete_market(rng, tree)
+        return market, AgentSpec(4.0, 0.02, static_habit_matrix(0.2, tree.horizon),
+                                 AdaptedProcess(tree, tree.horizon,
+                                                rng.uniform(1.0, 2.0, tree.n_nodes)))
+    if route == "lp":
+        # a unit initial endowment and a habit above the bond's gross return
+        tree = EventTree.uniform(1, 3)
+        market = gi.random_general_market(np.random.default_rng(5), tree)
+        vals = np.zeros(tree.n_nodes)
+        vals[0] = 1.0
+        return market, AgentSpec(2.0, 0.03, static_habit_matrix(2.0, 1),
+                                 AdaptedProcess(tree, 1, vals))
+    rng = np.random.default_rng(66)
+    tree = gi.random_tree(rng, min_depth=2)
+    market = gi.random_general_market(rng, tree)
+    vals = rng.uniform(1.0, 2.0, size=tree.n_nodes)
+    if route == "bond":
+        vals[tree.depth_nodes[1][0]] = 0.0      # a negative endowment surplus
+    return market, AgentSpec(2.0, 0.03, static_habit_matrix(0.3, tree.horizon),
+                             AdaptedProcess(tree, tree.horizon, vals))
+
+
+def _scaled_document(market, agent, scale):
+    tree = market.tree
+    return {"market": hio.dump_market(market),
+            "agent": {"gamma": agent.gamma, "rho": agent.rho,
+                      "beta_matrix": agent.habits.tolist(),
+                      "endowment": dict(zip(tree.ids, (agent.endowment.values * scale).tolist()))}}
+
+
+def _run_in_process(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("route", ["closed-form", "endowment", "bond", "lp"])
+def test_solve_never_fails_to_converge_on_a_rescaled_endowment(route, tmp_path, capsys):
+    """Endowment x 10^e for e = -300..300: the same plan wherever the
+    supporting SPD R ~ 10^(-gamma e) is a normal float, exit 4 (rescale the
+    endowment) where it is not, and never exit 3, which a tolerance below
+    roundoff still gives."""
+    market, agent = _scale_route(route)
+    endowed = optimizer._Endowed(optimizer._Problem(market, agent), agent.endowment.values)
+    if route == "closed-form":
+        assert market.is_complete()
+    else:
+        assert not market.is_complete()
+        feasible = np.min(endowed.Lbase) > optimizer.SURPLUS_FLOOR
+        assert feasible == (route == "endowment")
+        if not feasible:
+            assert (optimizer._bond_start(endowed) is None) == (route == "lp")
+    path = str(tmp_path / "in.json")
+
+    def solve(e, *flags):
+        with open(path, "w") as fh:
+            json.dump(_scaled_document(market, agent, 10.0 ** e), fh)
+        return _run_in_process(["solve", "--input", path, *flags], capsys)
+
+    code, out, _ = solve(0)
+    assert code == 0
+    base = json.loads(out)
+    c0 = np.array([base["consumption"][i] for i in market.tree.ids])
+    logR = np.log10([base["supporting_spd"][i] for i in market.tree.ids])
+    lo, hi = np.log10(np.finfo(float).tiny), np.log10(np.finfo(float).max)
+    seen = set()
+    for e in SCALE_EXPONENTS:
+        code, out, err = solve(e)
+        assert code != 3, (e, err)
+        # R scales by 10^(-gamma e); one decade of margin either way
+        shifted = logR - agent.gamma * e
+        if shifted.min() > lo + 1.0 and shifted.max() < hi - 1.0:
+            assert code == 0, (e, err)
+            got = json.loads(out)
+            c = np.array([got["consumption"][i] for i in market.tree.ids]) / 10.0 ** e
+            assert np.max(np.abs(c - c0) / c0) < 1e-12, e
+            assert got["method"] == base["method"]
+        elif shifted.min() < lo - 1.0 or shifted.max() > hi + 1.0:
+            assert code == 4, (e, err)
+            assert "rescale the endowment" in json.loads(err)["message"]
+        seen.add(code)
+    assert seen == {0, 4}
+    for e in (-300, 0, 300):
+        code, _, err = solve(e, "--tol", "1e-18")
+        assert code == 3 and json.loads(err)["error"] == "ConvergenceError", e
+
+
+def test_bounds_and_asymptotics_succeed_at_every_endowment_scale(tmp_path, capsys):
+    """Neither command prints R, so both succeed wherever the plan itself is
+    representable: here at every e in -300..300 (gamma 4, whose R leaves
+    the float range beyond about 77 decades), with the asymptotics grid
+    scaled along."""
+    rng = np.random.default_rng(1)
+    market = gi.random_idiosyncratic_market(rng, deterministic_rate=True)
+    tree = market.tree
+    agent = AgentSpec(4.0, 0.02, static_habit_matrix(0.2, tree.horizon),
+                      AdaptedProcess(tree, tree.horizon, rng.uniform(1.0, 2.0, tree.n_nodes)))
+    path = str(tmp_path / "in.json")
+    rates = []
+    for e in SCALE_EXPONENTS:
+        with open(path, "w") as fh:
+            json.dump(_scaled_document(market, agent, 10.0 ** e), fh)
+        code, out, err = _run_in_process(["bounds", "--input", path], capsys)
+        assert code == 0 and not err, (e, err)
+        assert json.loads(out)["min_slack"] >= -1e-9 * 10.0 ** e
+        grid = ",".join(repr(10.0 ** (e + j)) for j in range(1, 6))
+        code, out, err = _run_in_process(["asymptotics", "--input", path, "--eps0-grid", grid],
+                                         capsys)
+        assert code == 0 and not err, (e, err)
+        rates.append(json.loads(out.split("# summary: ")[1])["fitted_rate"])
+    assert max(rates) - min(rates) < 1e-6
 
 
 DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"

@@ -950,3 +950,61 @@ def test_nan_moment_margin_is_a_failure():
         report = heterogeneous_conditions(EconomySpec(tree, desk.beta, agents))
     assert report.foc_margin == -math.inf
     assert not report.holds
+
+
+# -- constructor checks ------------------------------------------------------------
+
+
+def _schema_error(build):
+    with pytest.raises(SchemaError) as info:
+        build()
+    return info.value.field, str(info.value)
+
+
+@pytest.mark.parametrize("gamma,values,field,message", [
+    (0.0, [1.0, 1.0], "gamma", "power utility needs gamma > 0 and gamma != 1"),
+    (1.0, [1.0, 1.0], "gamma", "power utility needs gamma > 0 and gamma != 1"),
+    (2.0, [1.0, math.inf], "endowment", "endowments must be finite"),
+    (2.0, [1.0, -0.5], "endowment", "endowments must be nonnegative"),
+], ids=["gamma-zero", "gamma-one", "endowment-inf", "endowment-negative"])
+def test_economy_agent_checks(gamma, values, field, message):
+    tree = EventTree.single_path(1)
+    got = _schema_error(lambda: EconomyAgent(gamma, 0.0, AdaptedProcess(tree, 1, np.array(values))))
+    assert got == (field, f"{field}: {message}")
+
+
+def _economy_args(change):
+    tree = EventTree.uniform(1, 2)
+    args = {"tree": tree, "beta": 0.1,
+            "agents": [EconomyAgent(2.0, 0.0, AdaptedProcess.constant(tree, 1.0))]}
+    change(args)
+    return args
+
+
+@pytest.mark.parametrize("change,field,message", [
+    (lambda a: a.update(beta=-0.1), "beta", "habit coefficient must be nonnegative"),
+    (lambda a: a.update(agents=[]), "agents", "need at least one agent"),
+    (lambda a: a.update(agents=[EconomyAgent(2.0, 0.0, AdaptedProcess.constant(
+        EventTree.uniform(1, 2), 1.0))]),
+     "agents.endowment", "endowments must live on the economy tree"),
+    (lambda a: a.update(agents=[EconomyAgent(2.0, 0.0, AdaptedProcess(
+        a["tree"], 1, np.array([1.0, 0.0, 1.0])))]),
+     "agents.endowment", "aggregate endowment must be strictly positive"),
+], ids=["beta-negative", "no-agents", "other-tree", "aggregate-zero"])
+def test_economy_spec_checks(change, field, message):
+    args = _economy_args(change)
+    got = _schema_error(lambda: EconomySpec(args["tree"], args["beta"], args["agents"]))
+    assert got == (field, f"{field}: {message}")
+
+
+@pytest.mark.parametrize("change,field,message", [
+    (dict(support=()), "support", "empty growth distribution"),
+    (dict(support=((1.1, 0.5), (1.2, 0.4))), "support", "probabilities must sum to 1"),
+    (dict(support=((1.1, 1.5), (1.2, -0.5))), "support", "probabilities must be positive"),
+    (dict(gamma=-2.0), "gamma", "power utility needs gamma > 0 and gamma != 1"),
+    (dict(horizon=0), "horizon", "need at least one period"),
+], ids=["empty", "sum", "negative-probability", "gamma", "horizon"])
+def test_iid_economy_checks(change, field, message):
+    args = dict(support=((1.1, 0.5), (1.2, 0.5)), gamma=2.0, rho=0.0, beta=0.0, horizon=2)
+    args.update(change)
+    assert _schema_error(lambda: IIDEconomy(**args)) == (field, f"{field}: {message}")

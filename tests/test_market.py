@@ -180,6 +180,38 @@ def test_spd_rejects_mispriced_redundant_asset(binary_one_period):
         MarketSpec(tree, (a1, a2), AdaptedProcess.constant(tree, 0.0))
 
 
+@pytest.mark.parametrize("prices,dividends,field,message", [
+    ([2.0, 2.0], [0.0, 1.0, 1.0], "assets", "s: prices/dividends must cover depths 0..2"),
+    ([2.0, 0.0, 1.0], [0.0, 1.0, 1.0], "assets.prices", "s: prices must be strictly positive"),
+    ([2.0, 1.0, 1.0], [0.0, -1.0, 1.0], "assets.dividends", "s: dividends must be nonnegative"),
+    ([2.0, 1.0, 1.0], [0.5, 1.0, 1.0], "assets.dividends", "s: no dividend at the root"),
+], ids=["depth", "price-zero", "dividend-negative", "root-dividend"])
+def test_asset_checks(prices, dividends, field, message):
+    tree = EventTree.single_path(2)
+    with pytest.raises(SchemaError) as info:
+        Asset("s", AdaptedProcess(tree, len(prices) - 1, np.array(prices)),
+              AdaptedProcess(tree, len(dividends) - 1, np.array(dividends)))
+    assert (info.value.field, str(info.value)) == (field, f"{field}: {message}")
+
+
+@pytest.mark.parametrize("change,field,message", [
+    (dict(interest=[0.0, 0.05]), "interest", "must cover depths 0..2"),
+    (dict(interest=[0.0, 0.05, -0.01]), "interest", "rates must be nonnegative"),
+    (dict(idio=1), "idio_factor", "need one partition per depth 1..2"),
+    (dict(idio=2), "idio_factor", "partition 2 has depth 1"),
+], ids=["interest-depth", "interest-negative", "factor-count", "factor-depth"])
+def test_market_spec_checks(change, field, message):
+    tree = EventTree.single_path(2)
+    rates = change.get("interest", [0.0, 0.05, 0.05])
+    idio = (Partition.trivial(tree, 1),) * change.get("idio", 0) or None
+    asset = Asset("s", AdaptedProcess.constant(tree, 1.0),
+                  AdaptedProcess(tree, 2, np.array([0.0, 0.05, 0.05])))
+    with pytest.raises(SchemaError) as info:
+        MarketSpec(tree, (asset,), AdaptedProcess(tree, len(rates) - 1, np.array(rates)),
+                   idio=idio)
+    assert (info.value.field, str(info.value)) == (field, f"{field}: {message}")
+
+
 # -- stacked payoff bases ---------------------------------------------------------
 
 
@@ -492,13 +524,13 @@ def test_derived_partitions_match_per_atom_merge_loop():
     noncontiguous = 0
     for seed in range(60):
         rng = np.random.default_rng(seed)
-        gen = gi.random_classC_market(rng, gi.random_tree(rng, max_children=5, min_depth=2))
-        # the same market without its blocks, so they must be derived
-        market = MarketSpec(gen.tree, gen.assets, gen.interest)
+        market, truth = gi.random_classC_instance(
+            rng, gi.random_tree(rng, max_children=5, min_depth=2))
         for k in range(1, market.tree.horizon + 1):
             derived = market_mod._derive_intermediate(market, k)
             assert derived.blocks == _derive_reference(market, k)
-            assert set(derived.blocks) == set(gen.classC[k - 1].blocks)
+            # the generator's own blocks, in any order
+            assert set(derived.blocks) == set(truth[k - 1].blocks)
             noncontiguous += any(b[-1] - b[0] >= len(b) for b in derived.blocks)
         if not market.is_complete():
             assert validate_market_class(market).classC_partitions == \

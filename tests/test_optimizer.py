@@ -1023,6 +1023,36 @@ def test_a_low_gradient_residual_is_not_returned_unconfirmed(monkeypatch):
             assert res.iterations > at + 1
 
 
+@pytest.mark.parametrize("fake", [True, False], ids=["unconfirmed", "confirmed"])
+def test_a_held_iterate_is_checked_when_newton_stops_at_it(fake, monkeypatch):
+    # Newton stops (here on a singular system) at the first iterate whose
+    # gradient residual meets tol, before the top of the loop can check it;
+    # the check after the loop returns it only when the public residual
+    # confirms it, and otherwise reports the public residual
+    market, agent = _incomplete_instance(66)
+    residual, seen = _Problem.grad_residual, []
+
+    def recorded(self, g, phi):
+        seen.append(0.0 if fake else residual(self, g, phi))
+        return seen[-1]
+
+    def singular_below_tol(problem, blocks):
+        if seen[-1] < 1e-9:
+            raise np.linalg.LinAlgError("forced")
+        return direction(problem, blocks)
+
+    direction = optimizer._newton_direction
+    monkeypatch.setattr(_Problem, "grad_residual", recorded)
+    monkeypatch.setattr(optimizer, "_newton_direction", singular_below_tol)
+    if fake:
+        with pytest.raises(ConvergenceError, match=r"after 1 iterations \(singular") as info:
+            solve_consumption(market, agent, tol=1e-9)
+        assert info.value.residual > 1e-6          # the public residual, not 0
+    else:
+        res = solve_consumption(market, agent, tol=1e-9)
+        assert res.iterations == len(seen) and res.foc_residual < 1e-9
+
+
 def test_foc_residual_is_infinite_at_a_non_finite_ratio():
     from habitree.optimizer import _foc_residual
 
@@ -1049,6 +1079,18 @@ def test_agent_rejects_non_finite_numbers(field, value):
     with pytest.raises(SchemaError) as info:
         AgentSpec(args["gamma"], args["rho"], 0.2, AdaptedProcess(tree, 3, args["endowment"]))
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("gamma,endowment,field,message", [
+    (-1.0, [1.0] * 4, "gamma", "power utility needs gamma > 0 and gamma != 1"),
+    (2.0, [1.0] * 3, "endowment", "must cover depths 0..3"),
+    (2.0, [1.0, 1.0, -0.1, 1.0], "endowment", "endowment must be nonnegative"),
+], ids=["gamma", "depth", "endowment-negative"])
+def test_agent_checks(gamma, endowment, field, message):
+    tree = EventTree.single_path(3)
+    with pytest.raises(SchemaError) as info:
+        AgentSpec(gamma, 0.05, 0.2, AdaptedProcess(tree, len(endowment) - 1, np.array(endowment)))
+    assert (info.value.field, str(info.value)) == (field, f"{field}: {message}")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

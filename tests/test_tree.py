@@ -205,7 +205,6 @@ def test_partition_validation():
     with pytest.raises(SchemaError):
         Partition(tree, 1, ((1, 2), (2,)))     # overlap
     sib = Partition.sibling_groups(tree, 1)
-    assert sib.is_intermediate()
     assert Partition.singletons(tree, 1).refines(sib)
     assert not sib.refines(Partition.singletons(tree, 1))
 
